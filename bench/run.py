@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import gc
 import json
 import os
 import platform
@@ -39,10 +40,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 PROBE_TIMEOUT_S = 60
 CHILD_TIMEOUT_S = 900
-CAL_EVERY_S = 1.0     # run the calibration kernel between samples this often
+CAL_EVERY_S = 1.0     # run the calibration kernel between samples once per this many seconds
+CAL_BURST = 5         # ... but at most this many times in a row (after long samples)
 CAL_REF_S = 0.020     # kernel time that defines the reference machine speed
 
 
@@ -68,21 +70,29 @@ def import_archspace() -> float:
 
 
 def probe_setup(workload: str, seed: int) -> int:
-    """Child process body (archspace is already imported): build the inputs, exit."""
+    """Child process body (archspace is already imported): build the inputs and
+    print the moment they are ready.  perf_counter reads a system-wide monotonic
+    clock, so the parent can subtract its own reading from it."""
     import workloads
 
     workloads.WORKLOADS[workload](seed)
+    print(repr(perf_counter()))
     return 0
 
 
 def measure_setup(workload: str, seed: int) -> list[float]:
-    """Wall time of SETUP_REPEATS fresh processes that only set the workload up."""
+    """Seconds from starting each of SETUP_REPEATS fresh processes to its inputs being built.
+
+    The end is the moment the child reports, not its exit: waiting with a
+    timeout polls every 50 ms, and interpreter teardown is not set-up.
+    """
     cmd = [sys.executable, os.path.abspath(__file__), "--probe-setup", workload, "--seed", str(seed)]
     times = []
     for _ in range(SETUP_REPEATS):
         start = perf_counter()
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL, timeout=PROBE_TIMEOUT_S)
-        times.append(perf_counter() - start)
+        out = subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True,
+                             timeout=PROBE_TIMEOUT_S).stdout
+        times.append(float(out.split()[-1]) - start)
     return times
 
 
@@ -149,7 +159,8 @@ def calibration_kernel() -> float:
     workload drifts with it.  The kernel mixes the two kinds of work the
     workloads do: tuples, dicts, sorting and hashing like the graph code,
     and small-array numpy calls like the interpreter (on fixed inputs, so no
-    denormals creep in).
+    denormals creep in).  The collector is off while it runs, so the
+    kernel's time does not depend on how large the workload's heap is.
     """
     import hashlib
 
@@ -157,15 +168,19 @@ def calibration_kernel() -> float:
 
     x = np.linspace(-1.0, 1.0, 64 * 8 * 4 * 4).reshape(64, 8, 4, 4)
     w = np.linspace(-0.5, 0.5, 64).reshape(8, 8)
-    start = perf_counter()
-    edges = [(i % 97, i % 7, (i * 31) % 101, i % 5) for i in range(8000)]
-    adj: dict[int, list] = {}
-    for e in edges:
-        adj.setdefault(e[2], []).append(e)
-    hashlib.sha256(repr(sorted(edges)).encode()).hexdigest()
-    for _ in range(60):
-        np.tanh(np.einsum("oc,nchw->nohw", w, x))
-    return perf_counter() - start
+    gc.disable()
+    try:
+        start = perf_counter()
+        edges = [(i % 97, i % 7, (i * 31) % 101, i % 5) for i in range(8000)]
+        adj: dict[int, list] = {}
+        for e in edges:
+            adj.setdefault(e[2], []).append(e)
+        hashlib.sha256(repr(sorted(edges)).encode()).hexdigest()
+        for _ in range(60):
+            np.tanh(np.einsum("oc,nchw->nohw", w, x))
+        return perf_counter() - start
+    finally:
+        gc.enable()
 
 
 # -- the closed loop -----------------------------------------------------------
@@ -182,17 +197,18 @@ class Loop:
         self.failed = 0
         self.problems: list[str] = []
         self.cal_s: list[float] = []
-        self._last_cal = float("-inf")
+        self._last_cal = None
 
     def one(self, tracer=None) -> None:
         w = self.w
         ok = True
         if tracer is not None:
             tracer.install()
+        unit_problems = []
         start = perf_counter()
         try:
-            w.sample()
-        except Exception as exc:  # a failed unit is counted, and the loop goes on
+            unit_problems = w.sample() or []
+        except Exception as exc:  # the sample's units count as failed, and the loop goes on
             ok = False
             self.problems.append(f"{type(exc).__name__}: {exc}")
         dt = perf_counter() - start
@@ -209,13 +225,17 @@ class Loop:
             if bad:
                 ok = False
                 self.problems.extend(bad)
-        if not ok:
-            self.failed += w.UNITS
+        self.problems.extend(unit_problems)
+        self.failed += w.UNITS if not ok else len(unit_problems)
 
     def calibrate(self) -> None:
-        """Between samples, at most every CAL_EVERY_S: sample the machine's speed."""
-        if perf_counter() - self._last_cal >= CAL_EVERY_S:
-            self.cal_s.append(calibration_kernel())
+        """Between samples: sample the machine's speed once per CAL_EVERY_S gone by."""
+        if self._last_cal is None:
+            due = CAL_BURST
+        else:
+            due = int(min(CAL_BURST, (perf_counter() - self._last_cal) // CAL_EVERY_S))
+        if due:
+            self.cal_s += [calibration_kernel() for _ in range(due)]
             self._last_cal = perf_counter()
 
     def for_seconds(self, seconds: float) -> None:
@@ -225,7 +245,7 @@ class Loop:
             self.one()
             if perf_counter() - start >= seconds and self.w.may_stop():
                 break
-        self._last_cal = float("-inf")
+        self._last_cal = None
         self.calibrate()
 
     def for_samples(self, n: int) -> None:
@@ -272,18 +292,20 @@ def run_timed(name: str, seed: int, seconds: float, samples) -> tuple[dict, dict
     n = len(loop.per_unit_ms)
     rate = loop.attempted / loop.timed_s
     p50 = statistics.median(loop.per_unit_ms)
-    cal = statistics.mean(loop.cal_s)
+    setup_s = statistics.median(setup)
+    cal = statistics.median(loop.cal_s)
     speed = f"at the reference speed: scaled by calibration {cal * 1000:.2f} ms / {CAL_REF_S * 1000:g} ms"
     metrics = {
-        "setup_s": (statistics.median(setup), "s", f"median of {len(setup)} fresh processes"),
+        "setup_s": (setup_s * CAL_REF_S / cal, "s", f"median of {len(setup)} fresh processes, {speed}"),
         "units_per_s_norm": (rate * cal / CAL_REF_S, "1/s", speed),
         "unit_p50_ms_norm": (p50 * CAL_REF_S / cal, "ms", speed),
         "peak_rss_mb": (peak_rss_mb, "MB", "ru_maxrss after the loop"),
     }
     extra = {
+        "setup_s_raw": (setup_s, "s", f"as measured: median of {len(setup)} fresh processes"),
         "units_per_s": (rate, "1/s", f"as measured: {loop.attempted} units in {loop.timed_s:.3f} s"),
         "unit_p50_ms": (p50, "ms", f"as measured: n={n} samples of {w.UNITS} unit(s)"),
-        "calibration_ms": (cal * 1000, "ms", f"mean of {len(loop.cal_s)} kernel runs between samples"),
+        "calibration_ms": (cal * 1000, "ms", f"median of {len(loop.cal_s)} kernel runs between samples"),
         "failed_share": (loop.failed / loop.attempted, "share", f"{loop.failed}/{loop.attempted}"),
     }
     if w.UNITS == 1 and n >= 1000:
@@ -314,6 +336,9 @@ def run_traced(name: str, seed: int, samples, import_s: float) -> tuple[dict, di
     if traced.w.output_digest() != plain.w.output_digest():
         traced.problems.append("outputs hash differently with the span wrappers on and off")
         traced.failed += 1
+    end_problems = traced.w.check_end() + plain.w.check_end() + pinned_problems(workloads, name)
+    traced.problems += end_problems
+    traced.failed += len(end_problems)
 
     loop_s = traced.timed_s
     funcs = tracer.by_function()
@@ -338,13 +363,14 @@ def run_traced(name: str, seed: int, samples, import_s: float) -> tuple[dict, di
         "setup.import_s": (import_s, "s", "import archspace in this process"),
         "trace.units": (traced.attempted, "count", f"{n} samples"),
         "trace.loop_s": (loop_s, "s", "traced pass"),
-        "trace.coverage_share": (tracer.root_seconds() / loop_s, "share",
+        "trace.coverage_share": (tracer.root_s / loop_s, "share",
                                  "wrapped top-level spans over the traced loop"),
         "trace_overhead_share": ((loop_s - plain.timed_s) / plain.timed_s, "share",
                                  f"traced {loop_s:.3f} s vs plain {plain.timed_s:.3f} s"),
     })
     traced.problems += plain.problems
     traced.failed += plain.failed
+    traced.attempted += plain.attempted
     report = {"loop": traced, "extra": {}, "tracer": tracer, "facts": traced.w.facts()}
     return metrics, report
 
@@ -361,7 +387,7 @@ def emit(name: str, args, metrics: dict, report: dict, import_s: float, config: 
         tracer = report["tracer"]
         loop_s = metrics["trace.loop_s"][0]
         print(f"{name} traced pass, per function: self s, inclusive s, inclusive share, calls")
-        for (fname, (calls, self_s)), incl in zip(tracer.by_function().items(), tracer.inclusive_seconds()):
+        for (fname, (calls, self_s)), incl in zip(tracer.by_function().items(), tracer.incl_s):
             if calls:
                 print(f"  {fname:36s} {self_s:9.4f} {incl:9.4f} {incl / loop_s:7.3f} {calls:9d}")
     for p in loop.problems[:20]:
@@ -371,7 +397,7 @@ def emit(name: str, args, metrics: dict, report: dict, import_s: float, config: 
     if "setup_samples_s" in report:
         facts["setup_samples_s"] = report["setup_samples_s"]
         facts["calibration_s"] = report["calibration_s"]
-        facts["as_measured"] = {k: report["extra"][k][0] for k in ("units_per_s", "unit_p50_ms")}
+        facts["as_measured"] = {k: report["extra"][k][0] for k in ("setup_s_raw", "units_per_s", "unit_p50_ms")}
     print("facts " + json.dumps(facts, sort_keys=True))
 
     wanted = [m["name"] for m in config["per_layer" if args.trace else "end_to_end"]]
@@ -424,7 +450,6 @@ def parse_args(argv):
     p.add_argument("--samples", type=int, default=None,
                    help="run exactly this many samples instead (smoke tests)")
     p.add_argument("--out", help="also write the result and the facts here as JSON")
-    p.add_argument("--spans", help="with --trace 1: write every span here, one per line")
     p.add_argument("--probe-setup", metavar="WORKLOAD", help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
@@ -449,8 +474,6 @@ def main(argv=None) -> int:
         return 2
     if args.trace:
         metrics, report = run_traced(args.workload, args.seed, args.samples, import_s)
-        if args.spans:
-            report["tracer"].write_spans(args.spans)
     else:
         metrics, report = run_timed(args.workload, args.seed, args.seconds, args.samples)
     record = emit(args.workload, args, metrics, report, import_s, config)

@@ -8,17 +8,16 @@ cached property at timing wrappers; ``uninstall()`` puts the originals
 back.  Both are cheap after the first call, so the wrappers can go on and
 off around every sample.  Nothing in ``src/`` is edited.
 
-Each wrapped call records a span: function, start, end and the index of
-the enclosing span (-1 at the top).  A function's self time is its span
-durations minus the time covered by its child spans.  Spans are kept in
-flat arrays so a traced walk of tens of thousands of steps stays small.
+Each wrapped call is a span inside the span of the wrapped call that
+encloses it, if any.  The wrapper keeps running sums only: per function its
+calls, inclusive seconds and self seconds (inclusive minus the time of its
+child spans), and the summed time of top-level spans.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from array import array
 from time import perf_counter
 
 # (layer, metric function name, module, attribute).  An attribute "Cls.meth"
@@ -68,15 +67,13 @@ class Tracer:
         n = len(TARGETS)
         self.calls = [0] * n
         self.self_s = [0.0] * n
-        self.span_fn = array("i")
-        self.span_parent = array("i")
-        self.span_start = array("d")
-        self.span_end = array("d")
+        self.incl_s = [0.0] * n
+        self.root_s = 0.0        # summed duration of spans with no wrapped parent
         self.accepted = 0        # propose_step calls that returned an edit
         self.fd_columns = 0      # gradient columns built by fd_gradients
         self.spectrum_dim = 0    # summed matrix order seen by spectrum_of
         self.log_bytes = 0       # characters written by SearchLog.to_jsonl
-        self._stack: list[list] = []   # [span index, child seconds]
+        self._stack: list[list] = []   # per open span: [child seconds]
         self._bindings: list[tuple[object, str, object, object]] = []  # owner, name, original, wrapper
         self.installed = False
 
@@ -84,9 +81,7 @@ class Tracer:
 
     def _wrap(self, i: int, fn):
         stack = self._stack
-        calls, self_s = self.calls, self.self_s
-        span_fn, span_parent = self.span_fn, self.span_parent
-        span_start, span_end = self.span_start, self.span_end
+        calls, self_s, incl_s = self.calls, self.self_s, self.incl_s
         hook = {
             "mutation.propose_step": self._count_accept,
             "proxy.fd_gradients": self._count_columns,
@@ -96,25 +91,21 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            idx = len(span_fn)
-            span_fn.append(i)
-            span_parent.append(stack[-1][0] if stack else -1)
-            span_end.append(0.0)
-            frame = [idx, 0.0]
+            frame = [0.0]
             stack.append(frame)
             start = perf_counter()
-            span_start.append(start)
             try:
                 result = fn(*args, **kwargs)
             finally:
-                end = perf_counter()
+                dur = perf_counter() - start
                 stack.pop()
-                span_end[idx] = end
-                dur = end - start
                 calls[i] += 1
-                self_s[i] += dur - frame[1]
+                incl_s[i] += dur
+                self_s[i] += dur - frame[0]
                 if stack:
-                    stack[-1][1] += dur
+                    stack[-1][0] += dur
+                else:
+                    self.root_s += dur
             if hook is not None:
                 hook(args, result)
             return result
@@ -179,24 +170,5 @@ class Tracer:
 
     # -- summaries -----------------------------------------------------------
 
-    def root_seconds(self) -> float:
-        """Summed duration of the spans with no wrapped parent."""
-        return sum(self.span_end[k] - self.span_start[k]
-                   for k in range(len(self.span_fn)) if self.span_parent[k] < 0)
-
     def by_function(self) -> dict[str, tuple[int, float]]:
         return {name: (self.calls[i], self.self_s[i]) for i, name in enumerate(NAMES)}
-
-    def inclusive_seconds(self) -> list[float]:
-        """Per function, span durations summed (no target calls itself, so nothing nests twice)."""
-        total = [0.0] * len(NAMES)
-        for k in range(len(self.span_fn)):
-            total[self.span_fn[k]] += self.span_end[k] - self.span_start[k]
-        return total
-
-    def write_spans(self, path: str) -> None:
-        """One tab-separated line per span: index, parent, function, start, end."""
-        with open(path, "w") as fh:
-            for k in range(len(self.span_fn)):
-                fh.write(f"{k}\t{self.span_parent[k]}\t{NAMES[self.span_fn[k]]}\t"
-                         f"{self.span_start[k]!r}\t{self.span_end[k]!r}\n")
