@@ -198,6 +198,8 @@ class Loop:
         self.problems: list[str] = []
         self.cal_s: list[float] = []
         self._last_cal = None
+        self.paused_s = 0.0
+        w.pause = self.pause
 
     def one(self, tracer=None) -> None:
         w = self.w
@@ -205,13 +207,14 @@ class Loop:
         if tracer is not None:
             tracer.install()
         unit_problems = []
+        paused = self.paused_s
         start = perf_counter()
         try:
             unit_problems = w.sample() or []
         except Exception as exc:  # the sample's units count as failed, and the loop goes on
             ok = False
             self.problems.append(f"{type(exc).__name__}: {exc}")
-        dt = perf_counter() - start
+        dt = perf_counter() - start - (self.paused_s - paused)
         if tracer is not None:
             tracer.uninstall()
         self.timed_s += dt
@@ -237,6 +240,13 @@ class Loop:
         if due:
             self.cal_s += [calibration_kernel() for _ in range(due)]
             self._last_cal = perf_counter()
+
+    def pause(self) -> None:
+        """Called by a workload between the units of a long sample, so the
+        machine's speed is sampled there too; the time is not the sample's."""
+        start = perf_counter()
+        self.calibrate()
+        self.paused_s += perf_counter() - start
 
     def for_seconds(self, seconds: float) -> None:
         start = perf_counter()
@@ -270,6 +280,16 @@ def pinned_problems(workloads, name: str) -> list[str]:
             if got[key] != want]
 
 
+def probe_known_defect(w, loop):
+    """Run the workload's known-defect probe after the loop.  The defect itself
+    is not a failed unit; a wrong score, once it scores, is."""
+    defect = w.known_defect()
+    if defect:
+        loop.problems += defect["problems"]
+        loop.failed += len(defect["problems"])
+    return defect
+
+
 def percentile(values: list[float], q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
@@ -288,12 +308,16 @@ def run_timed(name: str, seed: int, seconds: float, samples) -> tuple[dict, dict
     end_problems = w.check_end() + pinned_problems(workloads, name)
     loop.problems += end_problems
     loop.failed += len(end_problems)
+    defect = probe_known_defect(w, loop)
 
     n = len(loop.per_unit_ms)
     rate = loop.attempted / loop.timed_s
     p50 = statistics.median(loop.per_unit_ms)
     setup_s = statistics.median(setup)
-    cal = statistics.median(loop.cal_s)
+    # The machine switches between a fast and a slow state for seconds at a
+    # time; the mean of kernel runs spread over the run weighs them as the
+    # workload met them, where a median jumps to whichever state holds most.
+    cal = statistics.mean(loop.cal_s)
     speed = f"at the reference speed: scaled by calibration {cal * 1000:.2f} ms / {CAL_REF_S * 1000:g} ms"
     metrics = {
         "setup_s": (setup_s * CAL_REF_S / cal, "s", f"median of {len(setup)} fresh processes, {speed}"),
@@ -305,13 +329,13 @@ def run_timed(name: str, seed: int, seconds: float, samples) -> tuple[dict, dict
         "setup_s_raw": (setup_s, "s", f"as measured: median of {len(setup)} fresh processes"),
         "units_per_s": (rate, "1/s", f"as measured: {loop.attempted} units in {loop.timed_s:.3f} s"),
         "unit_p50_ms": (p50, "ms", f"as measured: n={n} samples of {w.UNITS} unit(s)"),
-        "calibration_ms": (cal * 1000, "ms", f"median of {len(loop.cal_s)} kernel runs between samples"),
+        "calibration_ms": (cal * 1000, "ms", f"mean of {len(loop.cal_s)} kernel runs between samples"),
         "failed_share": (loop.failed / loop.attempted, "share", f"{loop.failed}/{loop.attempted}"),
     }
     if w.UNITS == 1 and n >= 1000:
         extra["unit_p99_ms"] = (percentile(loop.per_unit_ms, 99), "ms", f"as measured: n={n} samples")
     report = {"loop": loop, "extra": extra, "setup_samples_s": setup, "calibration_s": loop.cal_s,
-              "facts": w.facts()}
+              "facts": w.facts(), "known_defect": defect}
     return metrics, report
 
 
@@ -339,6 +363,7 @@ def run_traced(name: str, seed: int, samples, import_s: float) -> tuple[dict, di
     end_problems = traced.w.check_end() + plain.w.check_end() + pinned_problems(workloads, name)
     traced.problems += end_problems
     traced.failed += len(end_problems)
+    defect = probe_known_defect(traced.w, traced)
 
     loop_s = traced.timed_s
     funcs = tracer.by_function()
@@ -360,6 +385,8 @@ def run_traced(name: str, seed: int, samples, import_s: float) -> tuple[dict, di
         "proxy.fd_gradients.columns": (tracer.fd_columns, "count", ""),
         "proxy.spectrum_of.dim": (tracer.spectrum_dim, "count", "summed matrix order"),
         "search.log.bytes": (tracer.log_bytes, "B", "bytes written by SearchLog.to_jsonl"),
+        "proxy.known_defect_raises": (defect["raises"] if defect else 0, "count",
+                                      "scoring the known-defect network raised, outside the loop"),
         "setup.import_s": (import_s, "s", "import archspace in this process"),
         "trace.units": (traced.attempted, "count", f"{n} samples"),
         "trace.loop_s": (loop_s, "s", "traced pass"),
@@ -371,7 +398,8 @@ def run_traced(name: str, seed: int, samples, import_s: float) -> tuple[dict, di
     traced.problems += plain.problems
     traced.failed += plain.failed
     traced.attempted += plain.attempted
-    report = {"loop": traced, "extra": {}, "tracer": tracer, "facts": traced.w.facts()}
+    report = {"loop": traced, "extra": {}, "tracer": tracer, "facts": traced.w.facts(),
+              "known_defect": defect}
     return metrics, report
 
 
@@ -390,10 +418,16 @@ def emit(name: str, args, metrics: dict, report: dict, import_s: float, config: 
         for (fname, (calls, self_s)), incl in zip(tracer.by_function().items(), tracer.incl_s):
             if calls:
                 print(f"  {fname:36s} {self_s:9.4f} {incl:9.4f} {incl / loop_s:7.3f} {calls:9d}")
+    defect = report["known_defect"]
+    if defect:
+        state = "reproduces" if defect["raises"] else "no longer reproduces"
+        print(f"{name} KNOWN DEFECT {state} on the {defect['network']} network: {defect['outcome']}")
     for p in loop.problems[:20]:
         print(f"{name} PROBLEM {p}")
     facts = {"workload": name, "seed": args.seed, "trace": args.trace, "units": loop.attempted,
              "import_s": import_s, **report["facts"], "machine": machine_facts()}
+    if defect:
+        facts["known_defect"] = {k: defect[k] for k in ("network", "raises", "outcome")}
     if "setup_samples_s" in report:
         facts["setup_samples_s"] = report["setup_samples_s"]
         facts["calibration_s"] = report["calibration_s"]

@@ -28,9 +28,8 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
     CONFIG = json.load(_fh)
 WORKLOADS = [w["name"] for w in CONFIG["workloads"]]
 SMOKE_SAMPLES = {"walk_checked": 30}
-# The known defect in bench/README.md: spectrum_of raises on one network of
-# the vkdnw pool, once per pass.  When it is fixed, this entry goes.
-KNOWN_FAILURES = {"score_vkdnw": "network 1: ValueError: Gram matrix produced eigenvalue"}
+# The workloads that probe a known defect once per run (bench/README.md).
+PROBES_DEFECT = {"score_vkdnw"}
 
 
 def run_bench(*args, cwd=ROOT):
@@ -66,15 +65,10 @@ def test_workload_smoke(workload, trace):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
-    assert result["attempted"] >= 1
-    problems = [line for line in proc.stdout.splitlines() if " PROBLEM " in line]
-    known = KNOWN_FAILURES.get(workload)
-    if known:
-        assert problems and all(known in p for p in problems), proc.stdout
-        assert not result["correct"] and result["failed"] == len(problems)
-    else:
-        assert result["correct"], proc.stdout
-        assert result["failed"] == 0
+    assert result["correct"], proc.stdout
+    assert result["failed"] == 0 and result["attempted"] >= 1
+    facts = json.loads(next(x for x in proc.stdout.splitlines() if x.startswith("facts "))[6:])
+    assert ("known_defect" in facts) == (workload in PROBES_DEFECT)
     declared = CONFIG["per_layer" if trace else "end_to_end"]
     assert list(result["metrics"]) == [m["name"] for m in declared]
     for m in declared:
