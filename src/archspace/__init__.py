@@ -62,6 +62,7 @@ from .proxy import (
     ProxyId,
     ProxyScore,
     block_fisher,
+    block_gradients,
     score_network,
     spectrum_of,
     vkdnw_score,

@@ -24,7 +24,7 @@ from .mutation import CostState
 from .network import assemble_network, make_network, validate_network
 from .ops import Shape
 from .protocol import TASKS, emit_protocol
-from .proxy import DEFAULT_BATCH, ProxyId, score_network
+from .proxy import DEFAULT_BATCH, MIN_BATCH, ProxyId, score_network
 from .rng import Rng
 from .search import EvoConfig, SearchLog, WalkConfig, random_walk, replay_edits
 from .search import evolve as run_evolve
@@ -147,8 +147,7 @@ def _cmd_score(args) -> int:
         _emit_json({"ok": False, "violations": bad}, None)
         return 1
     score = score_network(spec, ProxyId(args.proxy), Rng(args.seed),
-                          batch_size=args.batch_size, fd_ceiling=args.fd_ceiling,
-                          threads=args.threads)
+                          batch_size=args.batch_size, threads=args.threads)
     out = score.to_json()
     out["seed"] = args.seed
     out["batch_size"] = args.batch_size
@@ -264,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--proxy", choices=[p.value for p in ProxyId], default="vkdnw")
     p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH)
-    p.add_argument("--fd-ceiling", type=int, default=2000)
     p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(fn=_cmd_score)
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = _apply_config(ap, argv)
+        if getattr(args, "batch_size", MIN_BATCH) < MIN_BATCH:
+            raise FormatError(f"--batch-size must be at least {MIN_BATCH}, got {args.batch_size}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,23 @@ The headline score is the Shannon entropy of the normalized nine interior
 deciles (10% .. 90%, linear interpolation on the sorted spectrum) of the
 empirical Fisher eigenvalues, computed per block and averaged.
 
-The Fisher matrix itself is a self-contained desk-scale surrogate, not a
+The Fisher matrix is a self-contained desk-scale surrogate, not a
 reimplementation of any published construction: project the block output
-onto a fixed random unit vector u, take central finite differences of
-s_i = <u, flatten(block(x_i))> with respect to every block parameter, and
-average the per-sample gradient outer products, F = (1/B) sum g_i g_i^T.
-Only block parameters are scored; stem/transition/head parameters are
-excluded and reports say so.
+onto a fixed random unit vector u, differentiate s_i = <u, flatten(block(x_i))>
+with respect to every block parameter, and average the per-sample gradient
+outer products, F = (1/B) sum g_i g_i^T.  Only block parameters are scored;
+stem/transition/head parameters are excluded and reports say so.
+
+The (B, P) gradient matrix G comes from reverse mode: one sweep of the
+interpreter's backward rules per chunk of rows, where row i carries u on
+sample i, so BatchNorm's coupling of the samples is kept exactly.  The
+spectrum never builds the P x P matrix: F = G^T G / B has at most B nonzero
+eigenvalues, the squared singular values of G over B (the eigenvalues of
+the B x B Gram matrix G G^T / B), and the other P - B are exact zeros.  So a
+block with P >= 10 B has nine zero deciles and scores exactly 0, and there
+is no parameter ceiling.  Central finite differences (``fd_gradients``,
+``block_fisher``) remain as the test oracle for the gradients and the
+spectrum.
 
 Baseline proxies for ablation plumbing: negparams / negflops (negated
 network totals, so maximization prefers smaller) and a seeded random draw.
@@ -26,15 +36,18 @@ import numpy as np
 
 from .cost import network_cost
 from .errors import TooManyParams
-from .graph import BlockGraph, topo_order
-from .interpreter import EvalContext, ParamStore, forward, init_params
+from .graph import OUTPUT, BlockGraph, topo_order
+from .interpreter import EvalContext, ParamStore, forward, forward_tape, init_params, vjp_rows
 from .network import NetworkSpec
 from .rng import Rng
 
 DEFAULT_BATCH = 64
+MIN_BATCH = 10
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_FD_CEILING = 2000
 _EIG_FLOOR = -1e-10
+# Cotangent elements per reverse sweep once rows span the whole batch.
+_SWEEP_ELEMENTS = 1 << 18
 
 
 class ProxyId(Enum):
@@ -65,13 +78,33 @@ class ProxyScore:
         }
 
 
-def _param_arrays(block: BlockGraph, store: ParamStore) -> list[np.ndarray]:
+def _param_entries(block: BlockGraph, store: ParamStore) -> list[tuple[int, str, np.ndarray]]:
     """Flat parameter layout: topo node order, insertion-ordered names."""
-    out = []
-    for v in topo_order(block):
-        for arr in store.tensors.get(v, {}).values():
-            out.append(arr)
-    return out
+    return [(v, name, arr) for v in topo_order(block)
+            for name, arr in store.tensors.get(v, {}).items()]
+
+
+def block_gradients(block: BlockGraph, store: ParamStore, batch: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(B, P) gradients of s_i = <u, flatten(y_i)> by reverse mode, with the
+    columns of ``fd_gradients``.
+
+    Rows are swept in chunks that keep each cotangent within _SWEEP_ELEMENTS
+    values once BatchNorm has spread the rows over the batch.
+    """
+    tape = forward_tape(block, store, batch)
+    b = batch.shape[0]
+    ct = u.reshape(1, 1, *tape.values[(OUTPUT, 0)].shape[1:])
+    rows = tape.rows_per_sweep(_SWEEP_ELEMENTS)
+    entries = _param_entries(block, store)
+    grads = np.empty((b, sum(arr.size for _, _, arr in entries)))
+    for start in range(0, b, rows):
+        r = min(rows, b - start)
+        per_node = vjp_rows(tape, np.broadcast_to(ct, (r, *ct.shape[1:])), start)
+        col = 0
+        for v, name, arr in entries:
+            grads[start:start + r, col:col + arr.size] = per_node[v][name].reshape(r, -1)
+            col += arr.size
+    return grads
 
 
 def fd_gradients(
@@ -87,7 +120,7 @@ def fd_gradients(
     whole batch is forwarded jointly so BatchNorm statistics stay
     consistent between the +h and -h evaluations.
     """
-    arrays = _param_arrays(block, store)
+    arrays = [arr for _, _, arr in _param_entries(block, store)]
     total = sum(a.size for a in arrays)
     b = batch.shape[0]
     ctx = EvalContext()
@@ -119,28 +152,45 @@ def block_fisher(
     h: float = DEFAULT_FD_STEP,
     fd_ceiling: int = DEFAULT_FD_CEILING,
 ) -> np.ndarray:
-    """Empirical Fisher F = (1/B) sum_i g_i g_i^T over block parameters."""
+    """Empirical Fisher F = (1/B) sum_i g_i g_i^T from finite differences;
+    the test oracle of the reverse-mode path."""
     p = store.scalar_count()
     if p > fd_ceiling:
         raise TooManyParams(f"block has {p} parameters, finite-difference ceiling is {fd_ceiling}")
     if p == 0:
         return np.zeros((0, 0))
-    if batch.shape[0] < 10:
-        raise ValueError("decile estimation needs a batch of at least 10 samples")
+    if batch.shape[0] < MIN_BATCH:
+        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
     g = fd_gradients(block, store, batch, u, h)
     return (g.T @ g) / batch.shape[0]
 
 
-def spectrum_of(fisher: np.ndarray) -> FisherSpectrum:
-    """Eigenvalues (clamped to >= 0) and their nine interior deciles."""
-    if fisher.size == 0:
+def spectrum_of(matrix: np.ndarray, gradients: bool = False) -> FisherSpectrum:
+    """Fisher eigenvalues (clamped to >= 0) and their nine interior deciles.
+
+    ``matrix`` is the P x P Fisher, or with ``gradients`` the (B, P) gradient
+    matrix G of F = G^T G / B: then the eigenvalues are G's squared singular
+    values over B, padded with exact zeros to length P; singular values
+    under numpy's matrix_rank tolerance are roundoff and count as zeros.
+    """
+    if gradients:
+        b, p = matrix.shape
+        eig = np.zeros(p)
+        if p:
+            sv = np.linalg.svd(matrix, compute_uv=False)
+            sv[sv <= sv[0] * max(b, p) * np.finfo(float).eps] = 0.0
+            eig[:sv.size] = sv * sv / b
+    else:
+        if matrix.size == 0:
+            return FisherSpectrum((), (0.0,) * 9)
+        eig = np.linalg.eigvalsh(matrix)
+        if eig.min() < _EIG_FLOOR:
+            raise ValueError(f"Gram matrix produced eigenvalue {eig.min()} < {_EIG_FLOOR}")
+    if eig.size == 0:
         return FisherSpectrum((), (0.0,) * 9)
-    eig = np.linalg.eigvalsh(fisher)
-    if eig.min() < _EIG_FLOOR:
-        raise ValueError(f"Gram matrix produced eigenvalue {eig.min()} < {_EIG_FLOOR}")
-    eig = np.clip(eig, 0.0, None)
-    deciles = np.quantile(np.sort(eig), [k / 10 for k in range(1, 10)], method="linear")
-    return FisherSpectrum(tuple(np.sort(eig)[::-1]), tuple(float(d) for d in deciles))
+    eig = np.sort(np.clip(eig, 0.0, None))
+    deciles = np.quantile(eig, [k / 10 for k in range(1, 10)], method="linear")
+    return FisherSpectrum(tuple(eig[::-1]), tuple(float(d) for d in deciles))
 
 
 def vkdnw_score(spectrum: FisherSpectrum | tuple[float, ...]) -> float:
@@ -159,16 +209,17 @@ def vkdnw_score(spectrum: FisherSpectrum | tuple[float, ...]) -> float:
     return ent
 
 
-def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int, h: float, fd_ceiling: int) -> float:
+def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
     store = init_params(block, rng.child(0))
     if store.scalar_count() == 0:
         return 0.0
+    if batch_size < MIN_BATCH:
+        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
     shape = block.input_shape
     batch = rng.child(1).normal((batch_size, *shape))
     u = rng.child(2).normal(shape.numel)
     u = u / np.linalg.norm(u)
-    fisher = block_fisher(block, store, batch, u, h=h, fd_ceiling=fd_ceiling)
-    return vkdnw_score(spectrum_of(fisher))
+    return vkdnw_score(spectrum_of(block_gradients(block, store, batch, u), gradients=True))
 
 
 def score_network(
@@ -176,8 +227,6 @@ def score_network(
     proxy_id: ProxyId,
     rng: Rng,
     batch_size: int = DEFAULT_BATCH,
-    h: float = DEFAULT_FD_STEP,
-    fd_ceiling: int = DEFAULT_FD_CEILING,
     threads: int = 1,
 ) -> ProxyScore:
     """Score a network; per-block streams derive from (rng, block index),
@@ -190,7 +239,7 @@ def score_network(
         return ProxyScore(rng.uniform(), (), proxy_id)
 
     def one(i: int) -> float:
-        return _score_one_block(spec.blocks[i], rng.child(i), batch_size, h, fd_ceiling)
+        return _score_one_block(spec.blocks[i], rng.child(i), batch_size)
 
     indices = range(len(spec.blocks))
     if threads > 1:

@@ -146,7 +146,6 @@ def size_orthogonality_report(
     sample_every: int = 10,
     seed: int = 0,
     batch_size: int = 16,
-    fd_ceiling: int = 2000,
 ) -> dict:
     """Diagnostic only: correlation between the decile-entropy score and the
     parameter count over networks sampled from a random walk.
@@ -169,7 +168,7 @@ def size_orthogonality_report(
             state = state.after_edit(net, edit)
         if step % sample_every == 0:
             score = score_network(net, ProxyId.VKDNW, root.child(2, step),
-                                  batch_size=batch_size, fd_ceiling=fd_ceiling)
+                                  batch_size=batch_size)
             params_list.append(state.total.params)
             scores.append(score.value)
     correlation = None

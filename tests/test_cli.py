@@ -74,6 +74,19 @@ def test_score_cli_identity_network(tmp_path, capsys):
     assert out["value"] == 0.0 and out["proxy_id"] == "vkdnw"
 
 
+def test_readme_score_example(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert run("build", "--variant", "mbconv4,resnet_basic", "--stem", "12",
+               "--resolution", "32", "--stages", "2,2", "--dims", "24,48",
+               "--classes", "10", "--out", str(net)) == 0
+    capsys.readouterr()
+    assert run("score", str(net), "--proxy", "vkdnw", "--seed", "3", "--batch-size", "16") == 0
+    out = json.loads(capsys.readouterr().out)
+    # Every block has far more than 10 * 16 parameters, so all nine deciles
+    # are exact zeros of the padded spectrum.
+    assert out["per_block"] == [0.0] * 4 and out["value"] == 0.0
+
+
 def test_protocol_cli(tmp_path):
     out = tmp_path / "p.json"
     assert run("protocol", "--task", "classification", "--gpus", "8", "--out", str(out)) == 0
@@ -81,7 +94,7 @@ def test_protocol_cli(tmp_path):
     assert cfg["epochs"] == 150 and cfg["batch_size_per_gpu"] == 48
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # 2: unreadable / malformed input
     assert run("validate", str(tmp_path / "missing.json")) == 2
     bad = tmp_path / "bad.json"
@@ -99,6 +112,12 @@ def test_exit_codes(tmp_path):
     # 3: seed outside the budget
     assert run("walk", str(net), "--steps", "1", "--budget", "0,1,0,1",
                "--out", str(tmp_path / "w.jsonl")) == 3
+    # 2: a batch too small for nine deciles, rejected before any work
+    capsys.readouterr()
+    for cmd in ("score", "search"):
+        assert run(cmd, str(net), "--batch-size", "5") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--batch-size" in err
 
 
 def test_config_file_supplies_defaults(tmp_path):

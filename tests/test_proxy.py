@@ -199,3 +199,30 @@ def test_random_proxy_is_seeded():
     v2 = score_network(spec, ProxyId.RANDOM, Rng(5)).value
     v3 = score_network(spec, ProxyId.RANDOM, Rng(6)).value
     assert v1 == v2 != v3
+
+
+def test_walked_network_whose_dense_spectrum_failed_now_scores():
+    # A seed-5, 20-step walk from a small desk network reaches a network on
+    # whose block 1 the dense finite-difference Fisher had an eigenvalue
+    # below -1e-10, so scoring raised; the Gram-dual spectrum has none.
+    blocks = [
+        a.build("attention2h", Shape(8, 4, 4)),
+        a.build("squeeze_excite", Shape(8, 4, 4)),
+        a.build("resnet_basic", Shape(8, 2, 2)),
+        a.build("squeeze_excite", Shape(8, 2, 2)),
+    ]
+    seed_net = a.make_network(8, (32, 32), (2, 2), (8, 8), 10, blocks=blocks)
+    budget = a.Budget(1_500, 2_800, 0, 10**12)
+    net, _ = a.random_walk(seed_net, a.WalkConfig(steps=20, budget=budget, seed=5))
+    score = score_network(net, ProxyId.VKDNW, Rng(0).child(1))
+    assert len(score.per_block) == len(net.blocks)
+    assert all(math.isfinite(v) and 0.0 <= v <= LOG9 for v in (score.value, *score.per_block))
+
+
+def test_blocks_with_more_than_ten_parameters_per_sample_score_exactly_zero():
+    g = GraphAssembler(Shape(8, 2, 2))
+    v = g.chain((INPUT, 0), OpKind.CONV3)  # 8*8*9 + 8 = 584 scalars > 10 * 10
+    g.wire(v, 0, OUTPUT, 0)
+    spec = a.make_network(8, (16, 16), (1,), (8,), 10, blocks=[g.finish()])
+    assert score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=10).per_block == (0.0,)
+
