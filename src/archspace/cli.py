@@ -319,8 +319,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = _apply_config(ap, argv)
-        if getattr(args, "batch_size", MIN_BATCH) < MIN_BATCH:
-            raise FormatError(f"--batch-size must be at least {MIN_BATCH}, got {args.batch_size}")
+        # Only vkdnw draws a batch; the other proxies ignore --batch-size.
+        if getattr(args, "proxy", None) == ProxyId.VKDNW.value and args.batch_size < MIN_BATCH:
+            raise FormatError(f"--batch-size must be at least {MIN_BATCH} for vkdnw, "
+                              f"got {args.batch_size}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

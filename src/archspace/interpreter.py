@@ -206,9 +206,8 @@ def _exec_node(op, node, ins, params, ctx):
     if op is OpKind.DROPOUT:
         if ctx.mode == "deterministic":
             return [x]
-        # The multiplier rides along as a hidden second output for the backward rule.
-        scale = (ctx.rng.uniform01(x.size).reshape(x.shape) >= 0.5) * 2.0
-        return [x * scale, scale]
+        keep = (ctx.rng.uniform01(x.size).reshape(x.shape) >= 0.5)
+        return [x * keep * 2.0]
     if op is OpKind.MAXPOOL:
         return [maxpool2d(x)]
     if op is OpKind.MASK:
@@ -350,10 +349,10 @@ class Tape:
         return max(1, min(n, max_elements // (n * widest)))
 
 
-def forward_tape(block: BlockGraph, params: ParamStore, x: np.ndarray,
-                 ctx: Optional[EvalContext] = None) -> Tape:
-    """Forward a (N,C,H,W) batch and keep what the backward rules need."""
-    return Tape(block, params, _run(block, params, x, ctx or EvalContext()))
+def forward_tape(block: BlockGraph, params: ParamStore, x: np.ndarray) -> Tape:
+    """Forward a (N,C,H,W) batch in deterministic mode and keep what the
+    backward rules need."""
+    return Tape(block, params, _run(block, params, x, EvalContext()))
 
 
 def _to_full(g, start, n):
@@ -448,8 +447,7 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         y = align(outs[0])
         return one(y * (g - (g * y).sum(axis=-1, keepdims=True)))
     if op is OpKind.DROPOUT:
-        scale = tape.values.get((v, 1))
-        return one(g if scale is None else g * align(scale))
+        return one(g)  # the tape is deterministic, where Dropout is the identity
     if op is OpKind.MAXPOOL:
         masks = _cached(tape, v, lambda: _maxpool_masks(x, outs[0]))
         h, w = x.shape[2:]

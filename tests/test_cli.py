@@ -112,12 +112,14 @@ def test_exit_codes(tmp_path, capsys):
     # 3: seed outside the budget
     assert run("walk", str(net), "--steps", "1", "--budget", "0,1,0,1",
                "--out", str(tmp_path / "w.jsonl")) == 3
-    # 2: a batch too small for nine deciles, rejected before any work
+    # 2: a vkdnw batch too small for nine deciles, rejected before any work
     capsys.readouterr()
     for cmd in ("score", "search"):
         assert run(cmd, str(net), "--batch-size", "5") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--batch-size" in err
+    # 0: proxies that draw no batch ignore the flag
+    assert run("score", str(net), "--proxy", "negflops", "--batch-size", "5") == 0
 
 
 def test_config_file_supplies_defaults(tmp_path):

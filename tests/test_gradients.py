@@ -132,3 +132,22 @@ def test_gram_dual_pads_exact_zeros():
     small = spectrum_of(g[:, :4], gradients=True)
     assert len(small.eigenvalues) == 4 and min(small.eigenvalues) > 0.0
     assert spectrum_of(np.zeros((10, 0)), gradients=True).deciles == (0.0,) * 9
+
+
+def test_gram_dual_zeroes_singular_values_past_the_rank():
+    # P = 30 < 10 B with rank 3: the nine singular values past the rank are
+    # roundoff and must count as exact zeros, like the padding.
+    rng = Rng(5)
+    core = rng.normal((12, 3))
+    g = core @ rng.normal((3, 30))
+    spec = spectrum_of(g, gradients=True)
+    assert len(spec.eigenvalues) == 30
+    assert spec.eigenvalues[3:] == (0.0,) * 27
+    top = np.linalg.svd(g, compute_uv=False)[:3] ** 2 / 12
+    np.testing.assert_allclose(spec.eigenvalues[:3], top, rtol=1e-12)
+    # deciles sit at sorted positions 2.9, 5.8, ..., 26.1: positions 18-26 are
+    # the cut singular values, so the first eight deciles are exactly zero and
+    # the ninth is a tenth of the smallest nonzero eigenvalue
+    assert spec.deciles[:8] == (0.0,) * 8
+    np.testing.assert_allclose(spec.deciles[8], 0.1 * top[2], rtol=1e-9)
+    assert proxy.vkdnw_score(spec) == 0.0
