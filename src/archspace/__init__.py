@@ -42,7 +42,6 @@ from .mutation import (
     Edit,
     SearchStepConfig,
     apply,
-    delta_cost,
     minimal_coupled_subgraph,
     propose_step,
     rule_violations,

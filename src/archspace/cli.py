@@ -32,11 +32,11 @@ from .serialize import parse_document, serialize
 
 
 def _parse_budget(text: str) -> Budget:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise FormatError("budget must be params_min,params_max,flops_min,flops_max")
-    pmin, pmax, fmin, fmax = (int(p) for p in parts)
-    return Budget(pmin, pmax, fmin, fmax)
+    try:
+        pmin, pmax, fmin, fmax = (int(p) for p in text.split(","))
+        return Budget(pmin, pmax, fmin, fmax)
+    except ValueError as exc:
+        raise FormatError(f"--budget must be params_min,params_max,flops_min,flops_max: {exc}") from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -81,12 +81,11 @@ def _cmd_build(args) -> int:
         raise FormatError("need one variant, or one per stage")
     spec = make_network(args.stem, args.resolution, args.stages, args.dims,
                         args.classes, in_channels=args.in_channels)
-    blocks, pos = [], 0
+    blocks = []
     for si, st in enumerate(spec.stages):
         shape = Shape(st.channels, *st.spatial)
         for _ in range(st.n_blocks):
             blocks.append(builders.build(variants[si], shape))
-            pos += 1
     spec = make_network(args.stem, args.resolution, args.stages, args.dims,
                         args.classes, blocks=blocks, in_channels=args.in_channels)
     _write_out(serialize(spec), args.out)
@@ -128,11 +127,14 @@ def _cmd_search(args) -> int:
     if not budget.contains(CostState.from_spec(spec).total):
         print("seed network is outside the budget", file=sys.stderr)
         return 3
-    cfg = EvoConfig(total_steps=args.steps, population_size=args.population,
-                    steps_per_candidate=args.steps_per_candidate,
-                    proxy_id=ProxyId(args.proxy), budget=budget, seed=args.seed,
-                    p_eliminate=args.p_eliminate, n_try=args.n_try,
-                    batch_size=args.batch_size, threads=args.threads)
+    try:
+        cfg = EvoConfig(total_steps=args.steps, population_size=args.population,
+                        steps_per_candidate=args.steps_per_candidate,
+                        proxy_id=ProxyId(args.proxy), budget=budget, seed=args.seed,
+                        p_eliminate=args.p_eliminate, n_try=args.n_try,
+                        batch_size=args.batch_size, threads=args.threads)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
     best, log = run_evolve(spec, cfg)
     _write_out(serialize(best), args.out)
     if args.log:
@@ -189,10 +191,10 @@ def _cmd_replay(args) -> int:
     spec = _read_spec(args.spec)
     try:
         with open(args.log) as fh:
-            log = SearchLog.from_jsonl(fh.read())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read log {args.log}: {exc}") from exc
-    final = replay_edits(spec, log.edits())
+            edits = SearchLog.from_jsonl(fh.read()).edits()
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"cannot read log {args.log}: {exc!r}") from exc
+    final = replay_edits(spec, edits)
     _write_out(serialize(final), args.out)
     return 0
 
@@ -313,16 +315,26 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
 _SUBCOMMANDS = ("build", "validate", "cost", "walk", "search", "score",
                 "eval", "dot", "protocol", "replay")
 
+# Lowest accepted value of the numeric flags that have one.
+_FLAG_MINIMUM = {"steps": 0, "population": 1, "n_try": 1, "record_every": 1}
+
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
         args = _apply_config(ap, argv)
-        # Only vkdnw draws a batch; the other proxies ignore --batch-size.
+        # Checked after --config defaults apply.  Only vkdnw draws a batch;
+        # the other proxies ignore --batch-size.
         if getattr(args, "proxy", None) == ProxyId.VKDNW.value and args.batch_size < MIN_BATCH:
             raise FormatError(f"--batch-size must be at least {MIN_BATCH} for vkdnw, "
                               f"got {args.batch_size}")
+        for name, low in _FLAG_MINIMUM.items():
+            if getattr(args, name, low) < low:
+                raise FormatError(f"--{name.replace('_', '-')} must be at least {low}, "
+                                  f"got {getattr(args, name)}")
+        if not 0.0 <= getattr(args, "p_eliminate", 0.0) <= 1.0:
+            raise FormatError(f"--p-eliminate must be in [0, 1], got {args.p_eliminate}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
-from .network import (
-    FUSABLE_OPS,
-    ExecutablePlan,
-    NetworkSpec,
-    assemble_network,
-    stem_spatial,
-)
+from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
 from .ops import Cost, OpKind, Shape, ZERO_COST, op_cost
 
 
@@ -112,18 +106,6 @@ def fused_conv_cost(op: OpKind, c_in: int, block_shape: Shape) -> Cost:
     return conv2d_cost(c_in, c_out, kernel, block_shape.h, block_shape.w)
 
 
-def position_adjustment(first_op: Optional[OpKind], c_prev: int, block_shape: Shape) -> tuple[Cost, bool]:
-    """Transition accounting after the pool: (cost term, fused flag).
-
-    Fused: the adjustment replaces the leading conv's standalone cost with
-    its fused-input cost.  Not fused: the 1x1 projection conv is the term.
-    """
-    if first_op in FUSABLE_OPS:
-        standalone = node_cost(first_op, block_shape)
-        return fused_conv_cost(first_op, c_prev, block_shape) - standalone, True
-    return conv2d_cost(c_prev, block_shape.c, 1, block_shape.h, block_shape.w), False
-
-
 def stem_cost(in_channels: int, stem_channels: int, resolution: tuple[int, int]) -> tuple[tuple[str, Cost], ...]:
     (h1, w1), (h2, w2) = stem_spatial(resolution)
     return (
@@ -156,6 +138,31 @@ class TransitionCost:
     def total(self) -> Cost:
         extra = self.projection if self.projection is not None else self.fusion_adjustment
         return self.pool + extra
+
+
+def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> TransitionCost:
+    """Pool, then the 1x1 projection into stage si; when the stage's first
+    block starts with a fusable conv `first_op`, the projection is replaced by
+    an adjustment from that conv's standalone cost to its fused-input cost."""
+    st = spec.stages[si]
+    c_prev = spec.stem_out_channels if si == 0 else spec.stages[si - 1].channels
+    shape = Shape(st.channels, *st.spatial)
+    pool = pool_cost(c_prev, st.spatial)
+    if first_op in FUSABLE_OPS:
+        adj = fused_conv_cost(first_op, c_prev, shape) - node_cost(first_op, shape)
+        return TransitionCost(pool, None, adj, True)
+    return TransitionCost(pool, conv2d_cost(c_prev, st.channels, 1, *st.spatial), ZERO_COST, False)
+
+
+def skeleton_cost(spec: NetworkSpec):
+    """Stem terms, per-stage transitions and head terms: all but the blocks."""
+    transitions = []
+    for si, bi in enumerate(spec.stage_first_positions()):
+        first = spec.blocks[bi].first_interior()
+        transitions.append(transition_cost(spec, si, None if first is None else spec.blocks[bi].ops[first]))
+    last = spec.stages[-1]
+    return (stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution),
+            tuple(transitions), head_cost(last.channels, spec.num_classes, last.spatial))
 
 
 @dataclass(frozen=True)
@@ -199,39 +206,13 @@ class NetworkCostReport:
         }
 
 
-def network_cost(spec: NetworkSpec, plan: Optional[ExecutablePlan] = None) -> NetworkCostReport:
-    """Totals for stem + transitions + blocks + head, fusion costed once."""
-    if plan is None:
-        plan = assemble_network(spec)
-    stem = stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution)
-    total = ZERO_COST
-    for _, c in stem:
-        total = total + c
+def network_cost(spec: NetworkSpec) -> NetworkCostReport:
+    """Totals for stem + transitions + blocks + head, fusion costed once.
 
-    firsts = spec.stage_first_positions()
-    transitions = []
-    for si, (st, tp) in enumerate(zip(spec.stages, plan.transitions)):
-        lead = spec.blocks[firsts[si]]
-        first = lead.first_interior()
-        first_op = None if first is None else lead.ops[first]
-        shape = Shape(st.channels, *st.spatial)
-        adj, fused = position_adjustment(first_op, tp.in_channels, shape)
-        pool = pool_cost(tp.in_channels, st.spatial)
-        tc = TransitionCost(
-            pool=pool,
-            projection=None if fused else adj,
-            fusion_adjustment=adj if fused else ZERO_COST,
-            fused=fused,
-        )
-        transitions.append(tc)
-        total = total + tc.total
-
+    Recomputed from scratch, so it is the oracle for the search ledger.
+    """
+    assemble_network(spec)  # raises AssemblyError on an invalid network
+    stem, transitions, head = skeleton_cost(spec)
     blocks = tuple(block_cost(b) for b in spec.blocks)
-    for b in blocks:
-        total = total + b.total
-
-    last = spec.stages[-1]
-    head = head_cost(last.channels, spec.num_classes, last.spatial)
-    for _, c in head:
-        total = total + c
-    return NetworkCostReport(stem, tuple(transitions), blocks, head, total)
+    terms = [c for _, c in stem + head] + [t.total for t in transitions] + [b.total for b in blocks]
+    return NetworkCostReport(stem, transitions, blocks, head, sum(terms, ZERO_COST))

@@ -54,10 +54,11 @@ class TooManyParams(ArchSpaceError):
 
 
 class AssemblyError(ArchSpaceError):
-    """Network assembly failed; carries the offending block index."""
+    """Network assembly failed; carries the offending block index (-1 when
+    no block is at fault).  The detail names the block itself."""
 
     def __init__(self, block_index, detail):
-        super().__init__(f"block {block_index}: {detail}")
+        super().__init__(detail)
         self.block_index = block_index
         self.detail = detail
 

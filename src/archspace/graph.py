@@ -51,9 +51,6 @@ class BlockGraph:
     def out_edges(self, v: int) -> list[Edge]:
         return sorted((e for e in self.edges if e.src == v), key=lambda e: e.src_port)
 
-    def in_edges(self, v: int) -> list[Edge]:
-        return sorted((e for e in self.edges if e.dst == v), key=lambda e: e.dst_port)
-
     def first_interior(self) -> Optional[int]:
         """The unique successor of the virtual input; None for identity blocks."""
         out = self.out_edges(INPUT)

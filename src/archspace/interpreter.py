@@ -49,7 +49,6 @@ _LN_EPS = 1e-5
 class EvalContext:
     mode: str = "deterministic"
     rng: Optional[Rng] = None
-    batch: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("deterministic", "stochastic"):

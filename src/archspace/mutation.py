@@ -7,7 +7,8 @@ accepted only if the network stays inside the [min, max] Params/FLOPs
 budget; after n_try failed attempts the step is a no-op.
 
 Insertion templates are the minimal shape-restoring closures of their
-head node, so a template can be spliced into any edge of matching shape:
+head node, so a template can be spliced into any edge whose shape the head
+op accepts (`ops.transfer` decides).  `TEMPLATES` is the one definition:
 
 * single shape-preserving ops (Softmax ... RelPosBias) insert alone;
 * Chunk2/Chunk3 insert with Concat2/Concat3 wired straight across;
@@ -21,18 +22,12 @@ is what keeps every intermediate network valid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .cost import (
-    Budget,
-    block_cost,
-    head_cost,
-    pool_cost,
-    position_adjustment,
-    stem_cost,
-)
-from .errors import InfeasibleEdit, StaleEdit
+from .cost import Budget, block_cost, skeleton_cost, transition_cost
+from .errors import GraphError, InfeasibleEdit, StaleEdit
 from .graph import (
     BlockGraph,
     Edge,
@@ -45,108 +40,78 @@ from .graph import (
     successor_map,
 )
 from .network import NetworkSpec
-from .ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, op_cost
+from .ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, op_cost, transfer
 from .rng import Rng
 
-_SINGLE_TEMPLATES = (
-    ("softmax", OpKind.SOFTMAX),
-    ("dropout", OpKind.DROPOUT),
-    ("maxpool", OpKind.MAXPOOL),
-    ("mask", OpKind.MASK),
-    ("sigmoid", OpKind.SIGMOID),
-    ("gelu", OpKind.GELU),
-    ("conv1", OpKind.CONV1),
-    ("conv3", OpKind.CONV3),
-    ("convdepth3", OpKind.CONV_DEPTH3),
-    ("convdepth5", OpKind.CONV_DEPTH5),
-    ("batchnorm", OpKind.BATCH_NORM),
-    ("layernorm", OpKind.LAYER_NORM),
-    ("relposbias", OpKind.REL_POS_BIAS),
-)
-_SINGLE_BY_NAME = dict(_SINGLE_TEMPLATES)
 
-_COUPLED_TEMPLATES = (
-    "chunk2_concat2",
-    "chunk3_concat3",
-    "copy_add",
-    "copy_multiply",
-    "convexp4_convred4",
-    "globalavg_upsample",
-    "attention",
-)
+class Template(NamedTuple):
+    """Ops by position: the entry is position 0 and the exit the last position.
+    `wires` are internal edges (src pos, src port, dst pos, dst port) and
+    `couple` the positions of the one couple group."""
 
-TEMPLATE_NAMES = tuple(name for name, _ in _SINGLE_TEMPLATES) + _COUPLED_TEMPLATES
+    ops: tuple[OpKind, ...]
+    wires: tuple[tuple[int, int, int, int], ...] = ()
+    couple: tuple[int, ...] = ()
 
 
-def template_size(name: str) -> int:
-    if name in _SINGLE_BY_NAME:
-        return 1
-    return 4 if name == "attention" else 2
+_PAIR = ((0, 0, 1, 0),)
+_TWO_PORTS = ((0, 0, 1, 0), (0, 1, 1, 1))
 
+TEMPLATES = {
+    "softmax": Template((OpKind.SOFTMAX,)),
+    "dropout": Template((OpKind.DROPOUT,)),
+    "maxpool": Template((OpKind.MAXPOOL,)),
+    "mask": Template((OpKind.MASK,)),
+    "sigmoid": Template((OpKind.SIGMOID,)),
+    "gelu": Template((OpKind.GELU,)),
+    "conv1": Template((OpKind.CONV1,)),
+    "conv3": Template((OpKind.CONV3,)),
+    "convdepth3": Template((OpKind.CONV_DEPTH3,)),
+    "convdepth5": Template((OpKind.CONV_DEPTH5,)),
+    "batchnorm": Template((OpKind.BATCH_NORM,)),
+    "layernorm": Template((OpKind.LAYER_NORM,)),
+    "relposbias": Template((OpKind.REL_POS_BIAS,)),
+    "chunk2_concat2": Template((OpKind.CHUNK2, OpKind.CONCAT2), _TWO_PORTS, (0, 1)),
+    "chunk3_concat3": Template((OpKind.CHUNK3, OpKind.CONCAT3),
+                               _TWO_PORTS + ((0, 2, 1, 2),), (0, 1)),
+    "copy_add": Template((OpKind.COPY, OpKind.ADD), _TWO_PORTS, (0, 1)),
+    "copy_multiply": Template((OpKind.COPY, OpKind.MULTIPLY), _TWO_PORTS, (0, 1)),
+    "convexp4_convred4": Template((OpKind.CONV_EXP4, OpKind.CONV_RED4), _PAIR, (0, 1)),
+    "globalavg_upsample": Template((OpKind.GLOBAL_AVG, OpKind.UP_SAMPLE), _PAIR, (0, 1)),
+    "attention": Template(
+        (OpKind.CONV_CHUNK3, OpKind.MATMUL1, OpKind.SOFTMAX, OpKind.MATMUL2),
+        ((0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 2, 0), (2, 0, 3, 0), (0, 2, 3, 1)),
+        (0, 1, 3),
+    ),
+}
 
-def template_head_op(name: str) -> OpKind:
-    if name in _SINGLE_BY_NAME:
-        return _SINGLE_BY_NAME[name]
-    return {
-        "chunk2_concat2": OpKind.CHUNK2,
-        "chunk3_concat3": OpKind.CHUNK3,
-        "copy_add": OpKind.COPY,
-        "copy_multiply": OpKind.COPY,
-        "convexp4_convred4": OpKind.CONV_EXP4,
-        "globalavg_upsample": OpKind.GLOBAL_AVG,
-        "attention": OpKind.CONV_CHUNK3,
-    }[name]
+TEMPLATE_NAMES = tuple(TEMPLATES)
 
 
 def template_feasible(name: str, shape: Shape) -> bool:
-    """Shape-level feasibility of splicing the template into an edge of `shape`."""
-    import math
-
-    c, h, w = shape
-    if name == "mask":
-        return h == w
-    if name == "relposbias":
-        return math.isqrt(h) ** 2 == h and math.isqrt(w) ** 2 == w
-    if name == "chunk2_concat2":
-        return c % 2 == 0
-    if name == "chunk3_concat3":
-        return c % 3 == 0
+    """Whether the template splices into an edge of `shape`: its head op must
+    accept the shape, and the rest restores it by construction."""
+    try:
+        transfer(TEMPLATES[name].ops[0], [shape])
+    except GraphError:
+        return False
     return True
 
 
+@functools.lru_cache(maxsize=256)
+def _feasible_templates(shape: Shape) -> tuple[str, ...]:
+    # A pure function of the shape, asked on every add try; a walk meets few shapes.
+    return tuple(name for name in TEMPLATE_NAMES if template_feasible(name, shape))
+
+
 def _template_parts(name: str, ids: tuple[int, ...]):
-    """ops, internal edges, entry (node, port), exit (node, port), couples."""
-    if name in _SINGLE_BY_NAME:
-        (a,) = ids
-        return {a: _SINGLE_BY_NAME[name]}, [], (a, 0), (a, 0), {}
-    if name in ("chunk2_concat2", "chunk3_concat3"):
-        a, b = ids
-        n = 2 if name == "chunk2_concat2" else 3
-        ops = {a: OpKind.CHUNK2 if n == 2 else OpKind.CHUNK3,
-               b: OpKind.CONCAT2 if n == 2 else OpKind.CONCAT3}
-        edges = [Edge(a, p, b, p) for p in range(n)]
-        return ops, edges, (a, 0), (b, 0), {a: (b,), b: (a,)}
-    if name in ("copy_add", "copy_multiply"):
-        a, b = ids
-        ops = {a: OpKind.COPY, b: OpKind.ADD if name == "copy_add" else OpKind.MULTIPLY}
-        edges = [Edge(a, 0, b, 0), Edge(a, 1, b, 1)]
-        return ops, edges, (a, 0), (b, 0), {a: (b,), b: (a,)}
-    if name == "convexp4_convred4":
-        a, b = ids
-        return ({a: OpKind.CONV_EXP4, b: OpKind.CONV_RED4}, [Edge(a, 0, b, 0)],
-                (a, 0), (b, 0), {a: (b,), b: (a,)})
-    if name == "globalavg_upsample":
-        a, b = ids
-        return ({a: OpKind.GLOBAL_AVG, b: OpKind.UP_SAMPLE}, [Edge(a, 0, b, 0)],
-                (a, 0), (b, 0), {a: (b,), b: (a,)})
-    if name == "attention":
-        q, m1, sm, m2 = ids
-        ops = {q: OpKind.CONV_CHUNK3, m1: OpKind.MATMUL1, sm: OpKind.SOFTMAX, m2: OpKind.MATMUL2}
-        edges = [Edge(q, 0, m1, 0), Edge(q, 1, m1, 1), Edge(m1, 0, sm, 0),
-                 Edge(sm, 0, m2, 0), Edge(q, 2, m2, 1)]
-        couples = {q: (m1, m2), m1: (q, m2), m2: (q, m1)}
-        return ops, edges, (q, 0), (m2, 0), couples
-    raise ValueError(f"unknown template {name!r}")
+    """ops, internal edges and couples of the template, with node ids by position."""
+    if name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops):
+        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
+    t = TEMPLATES[name]
+    edges = [Edge(ids[a], pa, ids[b], pb) for a, pa, b, pb in t.wires]
+    group = [ids[p] for p in t.couple]
+    return dict(zip(ids, t.ops)), edges, {v: tuple(u for u in group if u != v) for v in group}
 
 
 @dataclass(frozen=True)
@@ -180,10 +145,6 @@ class Edit:
                         cut_edge=Edge(*d["cut_edge"]), new_ids=tuple(d["new_ids"]))
         return Edit("eliminate", d["block"], d["anchor"], d["digest"],
                     doomed=tuple(d["doomed"]), bridge=Edge(*d["bridge"]))
-
-
-def block_digest(block: BlockGraph) -> str:
-    return block.digest
 
 
 @dataclass(frozen=True)
@@ -250,12 +211,12 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
         for i in edit.new_ids:
             if i in block.ops or i in (INPUT, OUTPUT):
                 raise InfeasibleEdit(f"node id {i} already in use")
-        ops, internal, entry, exit_, couples = _template_parts(edit.template, edit.new_ids)
+        ops, internal, couples = _template_parts(edit.template, edit.new_ids)
         e = edit.cut_edge
         edges = [x for x in block.edges if x != e]
-        edges.append(Edge(e.src, e.src_port, entry[0], entry[1]))
+        edges.append(Edge(e.src, e.src_port, edit.new_ids[0], 0))
         edges.extend(internal)
-        edges.append(Edge(exit_[0], exit_[1], e.dst, e.dst_port))
+        edges.append(Edge(edit.new_ids[-1], 0, e.dst, e.dst_port))
         new_ops = dict(block.ops)
         new_ops.update(ops)
         new_couples = dict(block.couples)
@@ -299,36 +260,14 @@ def template_node_shapes(name: str, shape: Shape, ids: tuple[int, ...]) -> dict[
     return {v: shapes[v] for v in ids}
 
 
-def template_node_costs(name: str, shape: Shape) -> list[tuple[OpKind, Cost]]:
-    """Cost of each template node when spliced into an edge of `shape`."""
-    ids = tuple(range(2, 2 + template_size(name)))
-    shapes = template_node_shapes(name, shape, ids)
-    ops, _, _, _, _ = _template_parts(name, ids)
-    return [(ops[v], op_cost(ops[v], shapes[v].in_shapes, shapes[v].out_shapes)) for v in ids]
+class EditPatch(NamedTuple):
+    """The ledger entries an edit changes."""
 
-
-def delta_cost(
-    block: BlockGraph,
-    edit: Edit,
-    shapes: Optional[dict[int, NodeShapes]] = None,
-) -> Cost:
-    """Signed block-level cost change of the edit, without applying it."""
-    if edit.kind == "add":
-        if shapes is None:
-            shapes = infer_shapes(block)
-        e = edit.cut_edge
-        shape = shapes[e.src].out_shapes[e.src_port]
-        total = ZERO_COST
-        for _, cost in template_node_costs(edit.template, shape):
-            total = total + cost
-        return total
-    if shapes is None:
-        shapes = infer_shapes(block)
-    total = ZERO_COST
-    for v in edit.doomed:
-        ns = shapes[v]
-        total = total + op_cost(block.ops[v], ns.in_shapes, ns.out_shapes)
-    return -total
+    block: Cost                         # change of the block total
+    shapes: dict[int, NodeShapes]       # shapes of the added nodes
+    removed: tuple[int, ...]            # ids of the removed nodes
+    op_flops: dict[OpKind, int]         # FLOPs change per op, one entry per touched op
+    transition: Optional[tuple[int, Cost]]  # (stage, new transition) when the first node changes
 
 
 @dataclass
@@ -339,8 +278,8 @@ class CostState:
     shapes: list[dict[int, NodeShapes]]
     block_totals: list[Cost]
     block_op_flops: list[dict[OpKind, int]]
-    fixed_overhead: Cost            # stem + pools + head
-    stage_terms: list[Cost]         # projection or fusion adjustment per stage
+    fixed_overhead: Cost            # stem + head
+    transitions: list[Cost]         # pool + projection or fusion adjustment per stage
 
     @staticmethod
     def from_spec(spec: NetworkSpec) -> "CostState":
@@ -351,39 +290,13 @@ class CostState:
             rep = block_cost(b, s)
             totals.append(rep.total)
             opflops.append(rep.per_op_flops())
-        fixed = ZERO_COST
-        for _, c in stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution):
-            fixed = fixed + c
-        c_prev = spec.stem_out_channels
-        terms = []
-        firsts = spec.stage_first_positions()
-        for si, st in enumerate(spec.stages):
-            fixed = fixed + pool_cost(c_prev, st.spatial)
-            terms.append(CostState._stage_term(spec, si, c_prev))
-            c_prev = st.channels
-        for _, c in head_cost(spec.stages[-1].channels, spec.num_classes, spec.stages[-1].spatial):
-            fixed = fixed + c
-        return CostState(spec, shapes, totals, opflops, fixed, terms)
-
-    @staticmethod
-    def _stage_term(spec: NetworkSpec, si: int, c_prev: int) -> Cost:
-        lead = spec.blocks[spec.stage_first_positions()[si]]
-        first = lead.first_interior()
-        first_op = None if first is None else lead.ops[first]
-        st = spec.stages[si]
-        return position_adjustment(first_op, c_prev, Shape(st.channels, *st.spatial))[0]
-
-    def stage_prev_channels(self, si: int) -> int:
-        return self.spec.stem_out_channels if si == 0 else self.spec.stages[si - 1].channels
+        stem, transitions, head = skeleton_cost(spec)
+        fixed = sum((c for _, c in stem + head), ZERO_COST)
+        return CostState(spec, shapes, totals, opflops, fixed, [t.total for t in transitions])
 
     @property
     def total(self) -> Cost:
-        t = self.fixed_overhead
-        for c in self.stage_terms:
-            t = t + c
-        for c in self.block_totals:
-            t = t + c
-        return t
+        return sum(self.transitions + self.block_totals, self.fixed_overhead)
 
     def network_op_flops(self) -> dict[OpKind, int]:
         acc: dict[OpKind, int] = {}
@@ -392,78 +305,62 @@ class CostState:
                 acc[op] = acc.get(op, 0) + f
         return acc
 
-    def after_edit(self, new_spec: NetworkSpec, edit: Edit) -> "CostState":
-        """State for new_spec, patching only the edit's footprint.
+    def preview(self, edit: Edit) -> tuple[Cost, EditPatch]:
+        """Signed network-total change of the edit, without applying it, and
+        the patch that `after_edit` applies.
 
         Sound because templates restore the cut edge's shape and bridged
         eliminations preserve every surviving node's shapes, so only the
-        touched nodes' entries change.
+        touched nodes' entries change, plus the stage transition when the
+        edit replaces the first node of a stage's leading block.
         """
         bi = edit.block_index
-        old_block = self.spec.blocks[bi]
-        shapes = list(self.shapes)
-        totals = list(self.block_totals)
-        opflops = list(self.block_op_flops)
-        block_shapes = dict(shapes[bi])
-        per_op = dict(opflops[bi])
-        delta = ZERO_COST
+        block, shapes = self.spec.blocks[bi], self.shapes[bi]
         if edit.kind == "add":
             e = edit.cut_edge
-            cut_shape = block_shapes[e.src].out_shapes[e.src_port]
-            new_shapes = template_node_shapes(edit.template, cut_shape, edit.new_ids)
-            ops, _, _, _, _ = _template_parts(edit.template, edit.new_ids)
-            block_shapes.update(new_shapes)
-            for v in edit.new_ids:
-                c = op_cost(ops[v], new_shapes[v].in_shapes, new_shapes[v].out_shapes)
-                delta = delta + c
-                per_op[ops[v]] = per_op.get(ops[v], 0) + c.flops
+            added = template_node_shapes(edit.template, shapes[e.src].out_shapes[e.src_port], edit.new_ids)
+            touched = zip(TEMPLATES[edit.template].ops, added.values())
+            sign, removed, entry = 1, (), e.src
+            new_first = TEMPLATES[edit.template].ops[0]
         else:
-            for v in edit.doomed:
-                ns = block_shapes.pop(v)
-                op = old_block.ops[v]
-                c = op_cost(op, ns.in_shapes, ns.out_shapes)
-                delta = delta - c
-                per_op[op] -= c.flops
-        shapes[bi] = block_shapes
-        totals[bi] = totals[bi] + delta
-        opflops[bi] = per_op
-        terms = list(self.stage_terms)
-        si = new_spec.block_stage(bi)
-        if new_spec.stage_first_positions()[si] == bi:
-            terms[si] = CostState._stage_term(new_spec, si, self.stage_prev_channels(si))
-        return CostState(new_spec, shapes, totals, opflops, self.fixed_overhead, terms)
+            added, removed = {}, edit.doomed
+            touched = [(block.ops[v], shapes[v]) for v in removed]
+            sign, entry = -1, edit.bridge.src
+            new_first = block.ops.get(edit.bridge.dst)
+        change, op_flops = ZERO_COST, {}
+        for op, ns in touched:
+            params, flops = op_cost(op, ns.in_shapes, ns.out_shapes)
+            change = change + Cost(sign * params, sign * flops)
+            op_flops[op] = op_flops.get(op, 0) + sign * flops
+        delta, transition = change, None
+        si = self.spec.block_stage(bi)
+        if entry == INPUT and self.spec.stage_first_positions()[si] == bi:
+            transition = (si, transition_cost(self.spec, si, new_first).total)
+            delta = delta + transition[1] - self.transitions[si]
+        return delta, EditPatch(change, added, removed, op_flops, transition)
 
-
-def _fusion_delta(state: CostState, bi: int,
-                  old_first: Optional[OpKind], new_first: Optional[OpKind]) -> Cost:
-    spec = state.spec
-    si = spec.block_stage(bi)
-    if spec.stage_first_positions()[si] != bi or old_first == new_first:
-        return ZERO_COST
-    st = spec.stages[si]
-    shape = Shape(st.channels, *st.spatial)
-    c_prev = state.stage_prev_channels(si)
-    old_term = position_adjustment(old_first, c_prev, shape)[0]
-    new_term = position_adjustment(new_first, c_prev, shape)[0]
-    return new_term - old_term
+    def after_edit(self, new_spec: NetworkSpec, edit: Edit) -> "CostState":
+        """State for new_spec, applying the edit's preview patch."""
+        _, patch = self.preview(edit)
+        bi = edit.block_index
+        shapes, totals = list(self.shapes), list(self.block_totals)
+        opflops, transitions = list(self.block_op_flops), list(self.transitions)
+        block_shapes = shapes[bi] = dict(shapes[bi])
+        for v in patch.removed:
+            del block_shapes[v]
+        block_shapes.update(patch.shapes)
+        totals[bi] = totals[bi] + patch.block
+        per_op = opflops[bi] = dict(opflops[bi])
+        for op, f in patch.op_flops.items():
+            per_op[op] = per_op.get(op, 0) + f
+        if patch.transition is not None:
+            transitions[patch.transition[0]] = patch.transition[1]
+        return CostState(new_spec, shapes, totals, opflops, self.fixed_overhead, transitions)
 
 
 def network_delta(state: CostState, edit: Edit) -> Cost:
-    """Signed network-total change of the edit (block delta + fusion effects)."""
-    spec = state.spec
-    block = spec.blocks[edit.block_index]
-    shapes = state.shapes[edit.block_index]
-    d = delta_cost(block, edit, shapes)
-    first = block.first_interior()
-    old_first = None if first is None else block.ops[first]
-    if edit.kind == "add":
-        if edit.cut_edge.src == INPUT:
-            d = d + _fusion_delta(state, edit.block_index, old_first, template_head_op(edit.template))
-    else:
-        if first is not None and first in edit.doomed:
-            new_first = None if edit.bridge.dst == OUTPUT else block.ops.get(edit.bridge.dst)
-            d = d + _fusion_delta(state, edit.block_index, old_first, new_first)
-    return d
+    """Signed network-total change of the edit: the first half of `state.preview`."""
+    return state.preview(edit)[0]
 
 
 def propose_step(
@@ -505,11 +402,11 @@ def propose_step(
             outs = block.out_edges(v)
             e = outs[rng.randbelow(len(outs))]
             shape = state.shapes[bi][e.src].out_shapes[e.src_port]
-            feacible = [t for t in TEMPLATE_NAMES if template_feasible(t, shape)]
-            name = feacible[rng.randbelow(len(feacible))]
+            feasible = _feasible_templates(shape)
+            name = feasible[rng.randbelow(len(feasible))]
             edit = Edit(
                 "add", bi, v, block.digest, template=name, cut_edge=e,
-                new_ids=tuple(range(block.next_id, block.next_id + template_size(name))),
+                new_ids=tuple(range(block.next_id, block.next_id + len(TEMPLATES[name].ops))),
             )
             d = network_delta(state, edit)
             after = total + d

@@ -80,10 +80,6 @@ class SearchLog:
         return SearchLog([json.loads(line) for line in text.splitlines() if line.strip()])
 
 
-def _step_config(budget: Budget, rng: Rng, p_eliminate: float, n_try: int) -> SearchStepConfig:
-    return SearchStepConfig(budget=budget, rng=rng, p_eliminate=p_eliminate, n_try=n_try)
-
-
 def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, SearchLog]:
     """cfg.steps sequential propose/apply steps; returns (final net, log)."""
     state = CostState.from_spec(seed_net)
@@ -95,7 +91,7 @@ def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, Se
                op_flops=_op_flops_json(state))
     net = seed_net
     for step in range(1, cfg.steps + 1):
-        step_cfg = _step_config(cfg.budget, root.child(1, step), cfg.p_eliminate, cfg.n_try)
+        step_cfg = SearchStepConfig(cfg.budget, root.child(1, step), cfg.p_eliminate, cfg.n_try)
         edit = propose_step(net, step_cfg, state)
         if edit is not None:
             net = apply(net, edit)
@@ -129,7 +125,7 @@ def _mutate_candidate(net: NetworkSpec, state: CostState, cfg: EvoConfig, rng: R
                       ) -> tuple[NetworkSpec, CostState, list[Edit]]:
     edits = []
     for s in range(cfg.steps_per_candidate):
-        step_cfg = _step_config(cfg.budget, rng.child(s), cfg.p_eliminate, cfg.n_try)
+        step_cfg = SearchStepConfig(cfg.budget, rng.child(s), cfg.p_eliminate, cfg.n_try)
         edit = propose_step(net, step_cfg, state)
         if edit is None:
             continue
@@ -161,7 +157,7 @@ def size_orthogonality_report(
     net = seed_net
     params_list, scores = [], []
     for step in range(1, steps + 1):
-        step_cfg = _step_config(budget, root.child(1, step), 0.3, 10)
+        step_cfg = SearchStepConfig(budget, root.child(1, step))
         edit = propose_step(net, step_cfg, state)
         if edit is not None:
             net = apply(net, edit)

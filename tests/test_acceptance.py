@@ -26,12 +26,12 @@ from archspace.mutation import (
     Edit,
     SearchStepConfig,
     TEMPLATE_NAMES,
+    TEMPLATES,
     _template_parts,
     apply,
     apply_block_edit,
     propose_step,
     rule_violations,
-    template_size,
 )
 from archspace.ops import OP_INFO, OpKind, Shape, op_cost, rel_pos_bias_table
 from archspace.protocol import emit_protocol
@@ -53,8 +53,8 @@ def _ok(n, msg):
 
 _TEMPLATE_OF = {}
 for _name in TEMPLATE_NAMES:
-    _ids = tuple(range(2, 2 + template_size(_name)))
-    _ops, _, _, _, _ = _template_parts(_name, _ids)
+    _ids = tuple(range(2, 2 + len(TEMPLATES[_name].ops)))
+    _ops = _template_parts(_name, _ids)[0]
     for _i, _op in _ops.items():
         _TEMPLATE_OF.setdefault(_op, (_name, _ids, _i))
 
@@ -190,7 +190,7 @@ def safety_walk():
             assert validate(blk).ok, f"step {step}: {validate(blk).violations}"
             assert rule_violations(blk, state.shapes[bi]) == [], f"step {step}"
             if edit.kind == "add":
-                ops_map, _, _, _, _ = _template_parts(edit.template, edit.new_ids)
+                ops_map = _template_parts(edit.template, edit.new_ids)[0]
                 seen_ops |= set(ops_map.values())
         assert WALK_BUDGET.contains(state.total), f"step {step}: {state.total}"
         if step > WALK_STEPS - TRAILING:

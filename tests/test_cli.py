@@ -120,6 +120,28 @@ def test_exit_codes(tmp_path, capsys):
         assert err.count("\n") == 1 and "--batch-size" in err
     # 0: proxies that draw no batch ignore the flag
     assert run("score", str(net), "--proxy", "negflops", "--batch-size", "5") == 0
+    # 2: numeric flags and edit logs checked where they are parsed, one stderr line
+    log = tmp_path / "w.jsonl"
+    assert run("walk", str(net), "--steps", "2", "--out", str(log)) == 0
+    record = next(json.loads(line) for line in log.read_text().splitlines()
+                  if json.loads(line)["edit"] is not None)
+    del record["edit"]["block"]
+    headless = tmp_path / "headless.jsonl"
+    headless.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    for argv, flag in [
+        (("walk", str(net), "--budget", "1,2,x,4"), "--budget"),
+        (("walk", str(net), "--steps", "-5"), "--steps"),
+        (("search", str(net), "--population", "0", "--proxy", "negflops"), "--population"),
+        (("replay", str(net), "--log", str(headless)), "block"),
+    ]:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err, (argv, err)
+    # 1: a well-formed edit that names no template is refused, not a traceback
+    record["edit"].update(block=0, template="nope")
+    headless.write_text(json.dumps(record) + "\n")
+    assert run("replay", str(net), "--log", str(headless)) == 1
 
 
 def test_config_file_supplies_defaults(tmp_path):

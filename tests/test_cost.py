@@ -2,14 +2,19 @@ import pytest
 
 import archspace as a
 from archspace.cost import Budget, block_cost, network_cost, node_cost
-from archspace.graph import BlockGraph, GraphAssembler, INPUT, OUTPUT
+from archspace.graph import BlockGraph, Edge, GraphAssembler, INPUT, OUTPUT
 from archspace.mutation import (
+    TEMPLATE_NAMES,
+    TEMPLATES,
     CostState,
+    Edit,
     SearchStepConfig,
+    _excise_boundary,
     apply,
-    delta_cost,
+    minimal_coupled_subgraph,
     network_delta,
     propose_step,
+    template_feasible,
 )
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
@@ -153,27 +158,68 @@ def _random_edits(spec, budget, seed, n):
     return out
 
 
+def _eliminate_first(spec, bi):
+    blk = spec.blocks[bi]
+    first = blk.first_interior()
+    doomed = minimal_coupled_subgraph(blk, first)
+    entry, exit_ = _excise_boundary(blk, doomed)
+    return Edit("eliminate", bi, first, blk.digest, doomed=tuple(sorted(doomed)),
+                bridge=Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port))
+
+
+def _first_node_edits(spec):
+    """Edits that replace the first node of each stage's leading block: every
+    feasible template on its input edge, the elimination of its first node,
+    and the elimination of each inserted template again."""
+    state = CostState.from_spec(spec)
+    out = []
+    for bi in spec.stage_first_positions():
+        blk = spec.blocks[bi]
+        out.append((spec, state, _eliminate_first(spec, bi)))
+        for name in TEMPLATE_NAMES:
+            if template_feasible(name, blk.input_shape):
+                ids = tuple(range(blk.next_id, blk.next_id + len(TEMPLATES[name].ops)))
+                edit = Edit("add", bi, INPUT, blk.digest, template=name,
+                            cut_edge=blk.out_edges(INPUT)[0], new_ids=ids)
+                added = apply(spec, edit)
+                out.append((spec, state, edit))
+                out.append((added, state.after_edit(added, edit), _eliminate_first(added, bi)))
+    return out
+
+
+def _nonzero(per_op):
+    return {op: f for op, f in per_op.items() if f}
+
+
 def test_delta_cost_matches_recomputation(desk_spec, desk_budget):
     for net, state, edit in _random_edits(desk_spec, desk_budget, 17, 300):
-        blk = net.blocks[edit.block_index]
-        expected = block_cost(apply(net, edit).blocks[edit.block_index]).total
-        got = block_cost(blk).total + delta_cost(blk, edit)
-        assert got == expected, edit
+        old = block_cost(net.blocks[edit.block_index])
+        new = block_cost(apply(net, edit).blocks[edit.block_index])
+        patch = state.preview(edit)[1]
+        assert old.total + patch.block == new.total, edit
+        per_op = old.per_op_flops()
+        for op, f in patch.op_flops.items():
+            per_op[op] = per_op.get(op, 0) + f
+        assert _nonzero(per_op) == _nonzero(new.per_op_flops()), edit
 
 
 def test_network_delta_matches_recomputation(desk_spec, desk_budget):
-    for net, state, edit in _random_edits(desk_spec, desk_budget, 23, 300):
-        expected = network_cost(apply(net, edit)).total
-        got = state.total + network_delta(state, edit)
-        assert got == expected, edit
+    fusion = _first_node_edits(desk_spec)
+    assert all(state.preview(edit)[1].transition is not None for _, state, edit in fusion)
+    for net, state, edit in _random_edits(desk_spec, desk_budget, 23, 300) + fusion:
+        after = apply(net, edit)
+        expected = network_cost(after).total
+        assert state.total + network_delta(state, edit) == expected, edit
+        assert state.after_edit(after, edit).total == expected, edit
 
 
 def test_elimination_deltas_never_increase_totals(desk_spec, desk_budget):
     seen = 0
     for net, state, edit in _random_edits(desk_spec, desk_budget, 29, 400):
         if edit.kind == "eliminate":
-            d = delta_cost(net.blocks[edit.block_index], edit)
-            assert d.params <= 0 and d.flops <= 0
+            patch = state.preview(edit)[1]
+            assert patch.block.params <= 0 and patch.block.flops <= 0
+            assert all(f <= 0 for f in patch.op_flops.values())
             seen += 1
     assert seen > 10
 

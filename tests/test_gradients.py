@@ -8,7 +8,7 @@ import archspace as a
 from archspace import proxy
 from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
 from archspace.interpreter import init_params
-from archspace.mutation import TEMPLATE_NAMES, Edit, _template_parts, apply_block_edit, template_size
+from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
 from archspace.ops import OpKind, Shape
 from archspace.proxy import block_gradients, fd_gradients, spectrum_of
 from archspace.rng import Rng
@@ -17,7 +17,7 @@ BATCH = 10
 
 
 def _insert(block: BlockGraph, template: str, cut: Edge) -> BlockGraph:
-    ids = tuple(range(block.next_id, block.next_id + template_size(template)))
+    ids = tuple(range(block.next_id, block.next_id + len(TEMPLATES[template].ops)))
     return apply_block_edit(block, Edit("add", 0, cut.src, block.digest, template=template,
                                         cut_edge=cut, new_ids=ids))
 
@@ -71,7 +71,7 @@ def assert_deciles_match_dense(g: np.ndarray):
 def test_op_blocks_cover_every_op():
     covered = set()
     for name in TEMPLATE_NAMES:
-        ops = _template_parts(name, tuple(range(template_size(name))))[0]
+        ops = _template_parts(name, tuple(range(len(TEMPLATES[name].ops))))[0]
         covered.update(ops.values())
     assert covered == set(OpKind)
 

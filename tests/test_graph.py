@@ -6,6 +6,7 @@ from archspace.graph import (
     INPUT,
     OUTPUT,
     BlockGraph,
+    Edge,
     GraphAssembler,
     infer_shapes,
     same_graph,
@@ -162,3 +163,14 @@ def test_block_stage_mismatch_names_block_index():
     with pytest.raises(AssemblyError) as exc:
         a.assemble_network(bad)
     assert exc.value.block_index == 1
+
+
+def test_assembly_error_names_the_block_once():
+    # A Copy whose second output port feeds nothing.
+    shape = Shape(8, 4, 4)
+    copy = BlockGraph(shape, {2: OpKind.COPY}, (Edge(INPUT, 0, 2, 0), Edge(2, 0, OUTPUT, 0)), {}, 3)
+    spec = a.make_network(4, (32, 32), (1, 1), (8, 16), 10).with_block(0, copy)
+    with pytest.raises(AssemblyError) as exc:
+        a.assemble_network(spec)
+    assert exc.value.block_index == 0
+    assert str(exc.value).startswith("block 0: node 2") and str(exc.value).count("block 0:") == 1

@@ -14,7 +14,7 @@ from archspace.interpreter import (
     matmul2,
     maxpool2d,
 )
-from archspace.mutation import template_size, TEMPLATE_NAMES, _template_parts
+from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, _template_parts
 from archspace.ops import OP_INFO, OpKind, Shape, op_cost, rel_pos_bias_table
 from archspace.rng import Rng
 
@@ -166,8 +166,8 @@ def _feasible_shape_for(op, rng):
 
 _TEMPLATE_OF = {}
 for name in TEMPLATE_NAMES:
-    ids = tuple(range(2, 2 + template_size(name)))
-    ops, _, _, _, _ = _template_parts(name, ids)
+    ids = tuple(range(2, 2 + len(TEMPLATES[name].ops)))
+    ops = _template_parts(name, ids)[0]
     for i, op in ops.items():
         _TEMPLATE_OF.setdefault(op, (name, ids, i))
 

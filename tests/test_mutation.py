@@ -15,13 +15,13 @@ from archspace.mutation import (
     Edit,
     SearchStepConfig,
     TEMPLATE_NAMES,
+    TEMPLATES,
     apply,
     apply_block_edit,
     minimal_coupled_subgraph,
     propose_step,
     rule_violations,
     template_feasible,
-    template_size,
 )
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
@@ -108,7 +108,7 @@ def test_add_then_eliminate_restores_graph(desk_spec):
     for name in TEMPLATE_NAMES:
         if not template_feasible(name, blk.input_shape):
             continue
-        ids = tuple(range(blk.next_id, blk.next_id + template_size(name)))
+        ids = tuple(range(blk.next_id, blk.next_id + len(TEMPLATES[name].ops)))
         added = apply_block_edit(blk, Edit("add", 0, INPUT, blk.digest,
                                            template=name, cut_edge=edge, new_ids=ids))
         assert validate(added).ok, name
