@@ -29,7 +29,6 @@ from .graph import (
     validate,
 )
 from .interpreter import (
-    EvalContext,
     NetworkParams,
     ParamStore,
     forward,
@@ -66,7 +65,7 @@ from .proxy import (
     spectrum_of,
     vkdnw_score,
 )
-from .rng import Rng, normal_sample
+from .rng import Rng
 from .search import (
     EvoConfig,
     SearchLog,

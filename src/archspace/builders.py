@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InfeasibleShape
+from .errors import FormatError, InfeasibleShape
 from .graph import BlockGraph, GraphAssembler, INPUT, OUTPUT
 from .ops import OpKind, Shape
 
@@ -138,7 +138,8 @@ _BUILDERS = {
 
 
 def build(variant: str, input_shape: Shape) -> BlockGraph:
-    """Construct the named variant at the given shape; raises InfeasibleShape."""
+    """Construct the named variant at the given shape; raises FormatError for an
+    unknown variant and InfeasibleShape where the shape does not fit it."""
     if variant not in _BUILDERS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+        raise FormatError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     return _BUILDERS[variant](Shape(*input_shape).check())

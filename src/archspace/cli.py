@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or format error,
-3 budget infeasibility.  Identical invocations (same flags and seed)
-produce byte-identical outputs.
+3 seed network outside the budget (``BudgetError``).  Identical
+invocations (same flags and seed) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import numpy as np
 from . import builders
 from .cost import Budget, network_cost
 from .dot import to_dot
-from .errors import ArchSpaceError, FormatError, InfeasibleShape
+from .errors import ArchSpaceError, BudgetError, FormatError, InfeasibleShape
 from .graph import validate
-from .interpreter import EvalContext, forward_network, init_network_params
-from .mutation import CostState
+from .interpreter import forward_network, init_network_params
 from .network import assemble_network, make_network, validate_network
 from .ops import Shape
 from .protocol import TASKS, emit_protocol
@@ -107,11 +106,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_walk(args) -> int:
     spec = _read_spec(args.spec)
-    budget = _parse_budget(args.budget)
-    if not budget.contains(CostState.from_spec(spec).total):
-        print("seed network is outside the budget", file=sys.stderr)
-        return 3
-    cfg = WalkConfig(steps=args.steps, budget=budget, seed=args.seed,
+    cfg = WalkConfig(steps=args.steps, budget=_parse_budget(args.budget), seed=args.seed,
                      p_eliminate=args.p_eliminate, n_try=args.n_try,
                      record_every=args.record_every)
     final, log = random_walk(spec, cfg)
@@ -124,9 +119,6 @@ def _cmd_walk(args) -> int:
 def _cmd_search(args) -> int:
     spec = _read_spec(args.spec)
     budget = _parse_budget(args.budget)
-    if not budget.contains(CostState.from_spec(spec).total):
-        print("seed network is outside the budget", file=sys.stderr)
-        return 3
     try:
         cfg = EvoConfig(total_steps=args.steps, population_size=args.population,
                         steps_per_candidate=args.steps_per_candidate,
@@ -163,7 +155,7 @@ def _cmd_eval(args) -> int:
     rng = Rng(args.seed)
     params = init_network_params(plan, rng.child(0))
     x = rng.child(1).normal((args.batch, spec.in_channels, *spec.input_resolution))
-    logits = forward_network(plan, params, x, EvalContext())
+    logits = forward_network(plan, params, x)
     _emit_json({
         "shape": list(logits.shape),
         "sha256": hashlib.sha256(logits.tobytes()).hexdigest(),
@@ -175,6 +167,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_dot(args) -> int:
     spec = _read_spec(args.spec)
+    if args.block is not None and not 0 <= args.block < len(spec.blocks):
+        raise FormatError(f"--block must be in [0, {len(spec.blocks)}), got {args.block}")
     obj = spec if args.block is None else spec.blocks[args.block]
     _write_out(to_dot(obj), args.out)
     return 0
@@ -315,8 +309,12 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
 _SUBCOMMANDS = ("build", "validate", "cost", "walk", "search", "score",
                 "eval", "dot", "protocol", "replay")
 
-# Lowest accepted value of the numeric flags that have one.
-_FLAG_MINIMUM = {"steps": 0, "population": 1, "n_try": 1, "record_every": 1}
+# Lowest accepted value of the numeric flags that have one.  A comma-list
+# flag is checked entry by entry; an omitted optional flag (None) is not.
+_FLAG_MINIMUM = {"steps": 0, "population": 1, "n_try": 1, "record_every": 1,
+                 "steps_per_candidate": 0, "batch": 1, "threads": 1, "gpus": 1,
+                 "stem": 1, "classes": 1, "in_channels": 1,
+                 "stages": 1, "dims": 1, "resolution": 1}
 
 
 def main(argv=None) -> int:
@@ -330,15 +328,19 @@ def main(argv=None) -> int:
             raise FormatError(f"--batch-size must be at least {MIN_BATCH} for vkdnw, "
                               f"got {args.batch_size}")
         for name, low in _FLAG_MINIMUM.items():
-            if getattr(args, name, low) < low:
-                raise FormatError(f"--{name.replace('_', '-')} must be at least {low}, "
-                                  f"got {getattr(args, name)}")
+            value = getattr(args, name, None)
+            entries = value if isinstance(value, (tuple, list)) else (value,)
+            if any(v is not None and v < low for v in entries):
+                raise FormatError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
         if not 0.0 <= getattr(args, "p_eliminate", 0.0) <= 1.0:
             raise FormatError(f"--p-eliminate must be in [0, 1], got {args.p_eliminate}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except InfeasibleShape as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

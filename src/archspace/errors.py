@@ -63,5 +63,9 @@ class AssemblyError(ArchSpaceError):
         self.detail = detail
 
 
+class BudgetError(ArchSpaceError, ValueError):
+    """The seed network of a search lies outside its budget."""
+
+
 class FormatError(ArchSpaceError):
-    """Malformed serialized document or log."""
+    """Malformed serialized document, log or command-line input."""

@@ -14,7 +14,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CycleDetected, GraphError
 from .ops import COUPLED_ONLY, OP_INFO, OpKind, Shape, transfer
@@ -58,15 +58,6 @@ class BlockGraph:
             raise GraphError(f"virtual input must have exactly one out edge, found {len(out)}")
         nxt = out[0].dst
         return None if nxt == OUTPUT else nxt
-
-    def with_edges(self, edges: Iterable[Edge], ops=None, couples=None, next_id=None) -> "BlockGraph":
-        return BlockGraph(
-            self.input_shape,
-            dict(self.ops) if ops is None else ops,
-            tuple(edges),
-            dict(self.couples) if couples is None else couples,
-            self.next_id if next_id is None else next_id,
-        )
 
     @cached_property
     def digest(self) -> str:

@@ -10,8 +10,7 @@ Semantics of the elementary ops, where not obvious:
 * Matmul1 produces out[(h1,h2),(w1,w2)] = sum_c x[c,h1,w1] y[c,h2,w2] / sqrt(C)
   with the H^2 axis indexing (h1,h2) and the W^2 axis indexing (w1,w2);
   Matmul2 contracts out[c,h,w] = sum_{h~,w~} a[(h,h~),(w,w~)] y[c,h~,w~].
-* Dropout is the identity in deterministic mode; stochastic mode drops
-  with p = 0.5 and scales survivors by 2.
+* Dropout is the identity: the interpreter runs inference only.
 * BatchNorm uses current-batch statistics over (N, H, W); nothing is
   trained so there are no running averages.  LayerNorm normalizes over
   channels at each position.
@@ -43,18 +42,6 @@ from .rng import Rng
 
 _BN_EPS = 1e-5
 _LN_EPS = 1e-5
-
-
-@dataclass
-class EvalContext:
-    mode: str = "deterministic"
-    rng: Optional[Rng] = None
-
-    def __post_init__(self):
-        if self.mode not in ("deterministic", "stochastic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "stochastic" and self.rng is None:
-            raise ValueError("stochastic mode needs an rng")
 
 
 @dataclass
@@ -112,7 +99,7 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
     return store
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b, stride=1, padding=0):
     n, cin, h, win = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
@@ -125,8 +112,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         for dx in range(kw):
             xs = xp[:, :, dy:dy + stride * hout:stride, dx:dx + stride * wout:stride]
             out += np.einsum("oc,nchw->nohw", w[:, :, dy, dx], xs, optimize=True)
-    if b is not None:
-        out += b[None, :, None, None]
+    out += b[None, :, None, None]
     return out
 
 
@@ -198,15 +184,12 @@ def _band(h):
     return np.abs(hh - ww) <= 5
 
 
-def _exec_node(op, node, ins, params, ctx):
+def _exec_node(op, ins, params):
     x = ins[0]
     if op is OpKind.SOFTMAX:
         return [_softmax_last(x)]
     if op is OpKind.DROPOUT:
-        if ctx.mode == "deterministic":
-            return [x]
-        keep = (ctx.rng.uniform01(x.size).reshape(x.shape) >= 0.5)
-        return [x * keep * 2.0]
+        return [x]
     if op is OpKind.MAXPOOL:
         return [maxpool2d(x)]
     if op is OpKind.MASK:
@@ -267,7 +250,7 @@ def _exec_node(op, node, ins, params, ctx):
     raise AssertionError(op)
 
 
-def _run(block, params, x, ctx, entry_in_channels=None):
+def _run(block, params, x, entry_in_channels=None):
     """Every (node, port) value of one execution on a (N,C,H,W) batch."""
     want_c = entry_in_channels if entry_in_channels is not None else block.input_shape.c
     want = (want_c, block.input_shape.h, block.input_shape.w)
@@ -288,7 +271,7 @@ def _run(block, params, x, ctx, entry_in_channels=None):
             th, tw = gavg_spatial[gavg]
             outs = [np.broadcast_to(ins[0], (*ins[0].shape[:2], th, tw)).copy()]
         else:
-            outs = _exec_node(op, v, ins, params.tensors.get(v, {}), ctx)
+            outs = _exec_node(op, ins, params.tensors.get(v, {}))
         for port, arr in enumerate(outs):
             produced[(v, port)] = arr
     out_edge = in_adj[OUTPUT][0]
@@ -300,12 +283,11 @@ def forward(
     block: BlockGraph,
     params: ParamStore,
     x: np.ndarray,
-    ctx: Optional[EvalContext] = None,
     entry_in_channels: Optional[int] = None,
 ) -> np.ndarray:
     """Run the block on a (N,C,H,W) or (C,H,W) array; returns same rank as given."""
     squeeze = x.ndim == 3
-    produced = _run(block, params, x[None] if squeeze else x, ctx or EvalContext(), entry_in_channels)
+    produced = _run(block, params, x[None] if squeeze else x, entry_in_channels)
     out = produced[(OUTPUT, 0)]
     return out[0] if squeeze else out
 
@@ -349,9 +331,8 @@ class Tape:
 
 
 def forward_tape(block: BlockGraph, params: ParamStore, x: np.ndarray) -> Tape:
-    """Forward a (N,C,H,W) batch in deterministic mode and keep what the
-    backward rules need."""
-    return Tape(block, params, _run(block, params, x, EvalContext()))
+    """Forward a (N,C,H,W) batch and keep what the backward rules need."""
+    return Tape(block, params, _run(block, params, x))
 
 
 def _to_full(g, start, n):
@@ -446,7 +427,7 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         y = align(outs[0])
         return one(y * (g - (g * y).sum(axis=-1, keepdims=True)))
     if op is OpKind.DROPOUT:
-        return one(g)  # the tape is deterministic, where Dropout is the identity
+        return one(g)
     if op is OpKind.MAXPOOL:
         masks = _cached(tape, v, lambda: _maxpool_masks(x, outs[0]))
         h, w = x.shape[2:]
@@ -627,14 +608,8 @@ def init_network_params(plan: ExecutablePlan, rng: Rng) -> NetworkParams:
     return NetworkParams(stem, tuple(projections), blocks, (head_w, np.zeros(spec.num_classes)))
 
 
-def forward_network(
-    plan: ExecutablePlan,
-    params: NetworkParams,
-    x: np.ndarray,
-    ctx: Optional[EvalContext] = None,
-) -> np.ndarray:
+def forward_network(plan: ExecutablePlan, params: NetworkParams, x: np.ndarray) -> np.ndarray:
     """Stem -> stages (pool, projection, blocks) -> head; returns (N, num_classes)."""
-    ctx = ctx or EvalContext()
     spec = plan.spec
     if x.ndim == 3:
         x = x[None]
@@ -649,7 +624,7 @@ def forward_network(
         if proj is not None:
             x = conv2d(x, proj[0], proj[1])
         for _ in range(st.n_blocks):
-            x = forward(spec.blocks[pos], params.blocks[pos], x, ctx,
+            x = forward(spec.blocks[pos], params.blocks[pos], x,
                         entry_in_channels=plan.fused_entry[pos])
             pos += 1
     x = x.mean(axis=(2, 3))

@@ -23,6 +23,7 @@ is what keeps every intermediate network valid.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -222,7 +223,7 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
         new_couples = dict(block.couples)
         new_couples.update(couples)
         next_id = max(block.next_id, max(edit.new_ids) + 1)
-        return block.with_edges(edges, ops=new_ops, couples=new_couples, next_id=next_id)
+        return BlockGraph(block.input_shape, new_ops, tuple(edges), new_couples, next_id)
 
     doomed = frozenset(edit.doomed)
     missing = doomed - set(block.ops)
@@ -242,7 +243,7 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
         if any(p in doomed for p in partners):
             raise InfeasibleEdit(f"couple of surviving node {v} reaches into the doomed set")
         new_couples[v] = partners
-    return block.with_edges(edges, ops=new_ops, couples=new_couples, next_id=block.next_id)
+    return BlockGraph(block.input_shape, new_ops, tuple(edges), new_couples, block.next_id)
 
 
 def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:
@@ -415,25 +416,15 @@ def propose_step(
     return None
 
 
-def rule_violations(
-    block: BlockGraph,
-    shapes: Optional[dict[int, NodeShapes]] = None,
-    nodes=None,
-) -> list[str]:
+def rule_violations(block: BlockGraph, shapes: dict[int, NodeShapes]) -> list[str]:
     """Check the four insertion feasibility rules on a concrete block.
 
     (a) RelPosBias only where sqrt(H) and sqrt(W) are integral, (b) Chunk2/
     Chunk3 only where C is divisible by 2/3, (c) ConvRed4 only where C is
     divisible by 4, (d) dimension-changing / multi-output nodes are coupled.
-    Pass `nodes` to restrict the scan (e.g. to freshly inserted ids).
     """
-    import math
-
-    if shapes is None:
-        shapes = infer_shapes(block)
     bad = []
-    items = block.ops.items() if nodes is None else [(v, block.ops[v]) for v in nodes]
-    for v, op in items:
+    for v, op in block.ops.items():
         s = shapes[v].in_shapes[0]
         if op is OpKind.REL_POS_BIAS and (math.isqrt(s.h) ** 2 != s.h or math.isqrt(s.w) ** 2 != s.w):
             bad.append(f"rule a: node {v} RelPosBias at {s}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .errors import AssemblyError
+from .errors import AssemblyError, FormatError
 from .graph import BlockGraph, validate
 from .ops import OpKind, Shape
 
@@ -91,7 +91,7 @@ def make_network(
     Blocks default to identity blocks at each stage's shape.
     """
     if len(stage_blocks) != len(stage_channels):
-        raise ValueError("stage_blocks and stage_channels must have equal length")
+        raise FormatError("stage_blocks and stage_channels must have equal length")
     chain = stage_spatial_chain(input_resolution, len(stage_blocks))
     stages = tuple(
         StageSpec(n, c, hw) for n, c, hw in zip(stage_blocks, stage_channels, chain)
@@ -103,7 +103,7 @@ def make_network(
             blocks.extend(BlockGraph.identity(shape) for _ in range(st.n_blocks))
     blocks = tuple(blocks)
     if len(blocks) != sum(stage_blocks):
-        raise ValueError(f"expected {sum(stage_blocks)} blocks, got {len(blocks)}")
+        raise FormatError(f"expected {sum(stage_blocks)} blocks, got {len(blocks)}")
     return NetworkSpec(
         in_channels=in_channels,
         stem_out_channels=stem_out_channels,

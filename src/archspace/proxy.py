@@ -37,7 +37,7 @@ import numpy as np
 from .cost import network_cost
 from .errors import TooManyParams
 from .graph import OUTPUT, BlockGraph, topo_order
-from .interpreter import EvalContext, ParamStore, forward, forward_tape, init_params, vjp_rows
+from .interpreter import ParamStore, forward, forward_tape, init_params, vjp_rows
 from .network import NetworkSpec
 from .rng import Rng
 
@@ -123,7 +123,6 @@ def fd_gradients(
     arrays = [arr for _, _, arr in _param_entries(block, store)]
     total = sum(a.size for a in arrays)
     b = batch.shape[0]
-    ctx = EvalContext()
 
     def project(y):
         return y.reshape(b, -1) @ u
@@ -135,9 +134,9 @@ def fd_gradients(
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h
-            s_plus = project(forward(block, store, batch, ctx))
+            s_plus = project(forward(block, store, batch))
             flat[j] = orig - h
-            s_minus = project(forward(block, store, batch, ctx))
+            s_minus = project(forward(block, store, batch))
             flat[j] = orig
             grads[:, col] = (s_plus - s_minus) / (2.0 * h)
             col += 1
@@ -193,9 +192,9 @@ def spectrum_of(matrix: np.ndarray, gradients: bool = False) -> FisherSpectrum:
     return FisherSpectrum(tuple(eig[::-1]), tuple(float(d) for d in deciles))
 
 
-def vkdnw_score(spectrum: FisherSpectrum | tuple[float, ...]) -> float:
+def vkdnw_score(spectrum: FisherSpectrum) -> float:
     """Entropy of the normalized deciles; 0*log0 = 0 and all-zero scores 0."""
-    deciles = spectrum.deciles if isinstance(spectrum, FisherSpectrum) else tuple(spectrum)
+    deciles = spectrum.deciles
     if len(deciles) != 9:
         raise ValueError(f"expected 9 deciles, got {len(deciles)}")
     total = float(sum(deciles))

@@ -75,10 +75,6 @@ class Rng:
         """One float in [0, 1)."""
         return float(self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform01(self, n: int) -> np.ndarray:
-        """n floats in [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
         if n <= 0:
@@ -89,12 +85,11 @@ class Rng:
             if u < limit:
                 return u % n
 
-    def normal(self, shape=None, mean: float = 0.0, std: float = 1.0) -> np.ndarray | float:
-        """Standard Box-Muller normals scaled to N(mean, std^2)."""
+    def normal(self, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        """Standard Box-Muller normals of the given shape, scaled to N(mean, std^2)."""
         if std < 0:
             raise ValueError("std must be >= 0")
-        scalar = shape is None
-        dims = () if scalar else (tuple(shape) if not isinstance(shape, int) else (shape,))
+        dims = tuple(shape) if not isinstance(shape, int) else (shape,)
         total = 1
         for d in dims:
             total *= int(d)
@@ -107,12 +102,4 @@ class Rng:
         z = np.empty(2 * pairs, dtype=np.float64)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        out = z[:total] * std + mean
-        if scalar:
-            return float(out[0])
-        return out.reshape(dims)
-
-
-def normal_sample(rng: Rng, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """Tensor of the given shape filled from N(mean, std^2) on rng's stream."""
-    return rng.normal(tuple(shape), mean=mean, std=std)
+        return (z[:total] * std + mean).reshape(dims)

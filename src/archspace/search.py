@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from .cost import Budget
+from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
 from .network import NetworkSpec
 from .proxy import DEFAULT_BATCH, ProxyId, score_network
@@ -47,13 +48,10 @@ class EvoConfig:
     n_try: int = 10
     batch_size: int = DEFAULT_BATCH
     threads: int = 1
-    init_mode: str = "replicate"   # or "single": population grows from the seed alone
 
     def __post_init__(self):
         if self.population_size > self.total_steps:
             raise ValueError("population_size must not exceed total_steps")
-        if self.init_mode not in ("replicate", "single"):
-            raise ValueError("init_mode must be 'replicate' or 'single'")
 
 
 @dataclass
@@ -80,11 +78,17 @@ class SearchLog:
         return SearchLog([json.loads(line) for line in text.splitlines() if line.strip()])
 
 
+def _seed_state(seed_net: NetworkSpec, budget: Budget) -> CostState:
+    """The seed's cost ledger; BudgetError when the seed lies outside the budget."""
+    state = CostState.from_spec(seed_net)
+    if not budget.contains(state.total):
+        raise BudgetError(f"seed network cost {state.total} outside budget {budget}")
+    return state
+
+
 def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, SearchLog]:
     """cfg.steps sequential propose/apply steps; returns (final net, log)."""
-    state = CostState.from_spec(seed_net)
-    if not cfg.budget.contains(state.total):
-        raise ValueError(f"seed network cost {state.total} outside budget")
+    state = _seed_state(seed_net, cfg.budget)
     root = Rng(cfg.seed)
     log = SearchLog()
     log.append(step=0, edit=None, params=state.total.params, flops=state.total.flops,
@@ -150,9 +154,7 @@ def size_orthogonality_report(
     """
     import numpy as np
 
-    state = CostState.from_spec(seed_net)
-    if not budget.contains(state.total):
-        raise ValueError(f"seed network cost {state.total} outside budget")
+    state = _seed_state(seed_net, budget)
     root = Rng(seed)
     net = seed_net
     params_list, scores = [], []
@@ -182,17 +184,14 @@ def size_orthogonality_report(
 
 def evolve(seed_net: NetworkSpec, cfg: EvoConfig) -> tuple[NetworkSpec, SearchLog]:
     """Proxy-guided truncation search; returns (best network, log)."""
-    seed_state = CostState.from_spec(seed_net)
-    if not cfg.budget.contains(seed_state.total):
-        raise ValueError(f"seed network cost {seed_state.total} outside budget")
+    seed_state = _seed_state(seed_net, cfg.budget)
     root = Rng(cfg.seed)
     seed_score = score_network(seed_net, cfg.proxy_id, root.child(2, 0),
                                batch_size=cfg.batch_size, threads=cfg.threads).value
     # Entries are (score, tiebreak age, net, state); truncation keeps top scores,
     # preferring older entries on ties so results do not depend on sort internals.
-    initial = cfg.population_size if cfg.init_mode == "replicate" else 1
-    population = [(seed_score, i, seed_net, seed_state) for i in range(initial)]
-    age = initial
+    population = [(seed_score, i, seed_net, seed_state) for i in range(cfg.population_size)]
+    age = cfg.population_size
     log = SearchLog()
     log.append(step=0, score=seed_score, params=seed_state.total.params,
                flops=seed_state.total.flops, edits=[])

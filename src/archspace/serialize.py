@@ -18,6 +18,17 @@ from .ops import OP_BY_NAME, Shape
 FORMAT_VERSION = 1
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not truncated."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    return tuple(_int(v, what) for v in values)
+
+
 def block_to_json(block: BlockGraph) -> dict:
     return {
         "input_shape": list(block.input_shape),
@@ -30,16 +41,17 @@ def block_to_json(block: BlockGraph) -> dict:
 
 def block_from_json(d: dict) -> BlockGraph:
     try:
-        shape = Shape(*d["input_shape"])
+        shape = Shape(*_ints(d["input_shape"], "input_shape"))
         ops = {}
         for n in d["nodes"]:
             name = n["op"]
             if name not in OP_BY_NAME:
                 raise FormatError(f"unknown op {name!r}")
-            ops[int(n["id"])] = OP_BY_NAME[name]
-        edges = tuple(Edge(*e) for e in d["edges"])
-        couples = {int(v): tuple(int(p) for p in ps) for v, ps in d["couples"].items()}
-        return BlockGraph(shape, ops, edges, couples, int(d["next_id"]))
+            ops[_int(n["id"], "node id")] = OP_BY_NAME[name]
+        edges = tuple(Edge(*_ints(e, "edge")) for e in d["edges"])
+        # Object keys are strings in JSON, so couple keys are decimal strings.
+        couples = {int(v): _ints(ps, "couple partner") for v, ps in d["couples"].items()}
+        return BlockGraph(shape, ops, edges, couples, _int(d["next_id"], "next_id"))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -84,17 +96,18 @@ def parse_document(data) -> NetworkSpec:
     try:
         net = data["network"]
         stages = tuple(
-            StageSpec(int(s["n_blocks"]), int(s["channels"]), tuple(s["spatial"]))
+            StageSpec(_int(s["n_blocks"], "n_blocks"), _int(s["channels"], "channels"),
+                      _ints(s["spatial"], "spatial"))
             for s in net["stages"]
         )
         blocks = tuple(block_from_json(b) for b in data["blocks"])
         return NetworkSpec(
-            in_channels=int(net["in_channels"]),
-            stem_out_channels=int(net["stem_out_channels"]),
-            input_resolution=tuple(net["input_resolution"]),
+            in_channels=_int(net["in_channels"], "in_channels"),
+            stem_out_channels=_int(net["stem_out_channels"], "stem_out_channels"),
+            input_resolution=_ints(net["input_resolution"], "input_resolution"),
             stages=stages,
             blocks=blocks,
-            num_classes=int(net["num_classes"]),
+            num_classes=_int(net["num_classes"], "num_classes"),
         )
     except FormatError:
         raise

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import archspace as a
@@ -87,6 +88,37 @@ def test_readme_score_example(tmp_path, capsys):
     assert out["per_block"] == [0.0] * 4 and out["value"] == 0.0
 
 
+# sha256 of the README pipeline's outputs.  A deliberate change of these
+# bytes updates the pins and is recorded in CHANGES.md.
+README_PINS = {
+    "net": "12c6876b0664e76b3ddac6a2256682625f5181301ae88f3a64778708e52549ef",
+    "walk_log": "c5837843f581334141cc7943a8d912f799dfb73702c32e61d877746dac8ea2e3",
+    "walk_net": "eee6cca3e9a2cb931a8565cf46b3042aa2a97289702251b6e12b427347add203",
+    "search_log": "3189ce71d06cfebb8f0c9a3e327e6c8f3eea5d08d425c16e84998c8d5840f7e4",
+    "search_net": "bab6501ce7cf9f80b8dc58dcbb3cb9b73ca90ef3d2af0565cedad99feb07c0da",
+    "score": "56ee8e9260151cd4e668f9a289594133540763f3c8196414dd4d6918247b520c",
+}
+
+
+def test_readme_pipeline_bytes_are_pinned(tmp_path, capsys):
+    f = {name: tmp_path / name for name in README_PINS}
+    budget = ("--budget", "50000,250000,1000000,20000000")
+    assert run("build", "--variant", "mbconv4,resnet_basic", "--stem", "12",
+               "--resolution", "32", "--stages", "2,2", "--dims", "24,48",
+               "--classes", "10", "--out", str(f["net"])) == 0
+    assert run("walk", str(f["net"]), "--steps", "300", "--seed", "7", *budget,
+               "--out", str(f["walk_log"]), "--final-net", str(f["walk_net"])) == 0
+    assert run("search", str(f["net"]), "--steps", "40", "--population", "8",
+               "--proxy", "negflops", "--seed", "0", *budget,
+               "--log", str(f["search_log"]), "--out", str(f["search_net"])) == 0
+    capsys.readouterr()
+    assert run("score", str(f["walk_net"]), "--proxy", "vkdnw", "--seed", "3",
+               "--batch-size", "10") == 0
+    f["score"].write_text(capsys.readouterr().out)
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in f.items()}
+    assert got == README_PINS
+
+
 def test_protocol_cli(tmp_path):
     out = tmp_path / "p.json"
     assert run("protocol", "--task", "classification", "--gpus", "8", "--out", str(out)) == 0
@@ -109,18 +141,21 @@ def test_exit_codes(tmp_path, capsys):
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(doc))
     assert run("validate", str(bad2)) == 1
-    # 3: seed outside the budget
-    assert run("walk", str(net), "--steps", "1", "--budget", "0,1,0,1",
-               "--out", str(tmp_path / "w.jsonl")) == 3
-    # 2: a vkdnw batch too small for nine deciles, rejected before any work
+    # 3: seed outside the budget, one stderr line
     capsys.readouterr()
+    for argv in [("walk", str(net), "--steps", "1"),
+                 ("search", str(net), "--steps", "2", "--population", "1", "--proxy", "negflops")]:
+        assert run(*argv, "--budget", "0,1,0,1", "--out", str(tmp_path / "w.jsonl")) == 3, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside budget" in err, (argv, err)
+    # 2: a vkdnw batch too small for nine deciles, rejected before any work
     for cmd in ("score", "search"):
         assert run(cmd, str(net), "--batch-size", "5") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--batch-size" in err
     # 0: proxies that draw no batch ignore the flag
     assert run("score", str(net), "--proxy", "negflops", "--batch-size", "5") == 0
-    # 2: numeric flags and edit logs checked where they are parsed, one stderr line
+    # 2: flags, documents and edit logs checked where they are parsed, one stderr line
     log = tmp_path / "w.jsonl"
     assert run("walk", str(net), "--steps", "2", "--out", str(log)) == 0
     record = next(json.loads(line) for line in log.read_text().splitlines()
@@ -128,12 +163,40 @@ def test_exit_codes(tmp_path, capsys):
     del record["edit"]["block"]
     headless = tmp_path / "headless.jsonl"
     headless.write_text(json.dumps(record) + "\n")
+    doc = json.loads(net.read_text())
+    doc["network"]["input_resolution"][0] = 16.0
+    float_doc = tmp_path / "float.json"
+    float_doc.write_text(json.dumps(doc))
+    zero_batch = tmp_path / "zero_batch.json"
+    zero_batch.write_text(json.dumps({"batch": 0}))
     capsys.readouterr()
     for argv, flag in [
         (("walk", str(net), "--budget", "1,2,x,4"), "--budget"),
         (("walk", str(net), "--steps", "-5"), "--steps"),
         (("search", str(net), "--population", "0", "--proxy", "negflops"), "--population"),
         (("replay", str(net), "--log", str(headless)), "block"),
+        (("validate", str(float_doc)), "input_resolution"),
+        (("dot", str(net), "--block", "99"), "--block"),
+        (("dot", str(net), "--block", "-1"), "--block"),
+        (("eval", str(net), "--batch", "0"), "--batch"),
+        (("eval", str(net), "--batch", "-1"), "--batch"),
+        (("eval", str(net), "--config", str(zero_batch)), "--batch"),
+        (("protocol", "--task", "classification", "--gpus", "0"), "--gpus"),
+        (("protocol", "--task", "classification", "--gpus", "-2"), "--gpus"),
+        (("score", str(net), "--threads", "0"), "--threads"),
+        (("score", str(net), "--threads", "-2"), "--threads"),
+        (("search", str(net), "--threads", "0", "--proxy", "negflops"), "--threads"),
+        (("search", str(net), "--threads", "-2", "--proxy", "negflops"), "--threads"),
+        (("search", str(net), "--steps-per-candidate", "-1", "--proxy", "negflops"),
+         "--steps-per-candidate"),
+        (("build", "--variant", "bogus"), "variant"),
+        (("build", "--stages", "2,2", "--dims", "24"), "stage_channels"),
+        (("build", "--resolution", "0"), "--resolution"),
+        (("build", "--stem", "0"), "--stem"),
+        (("build", "--classes", "0"), "--classes"),
+        (("build", "--in-channels", "0"), "--in-channels"),
+        (("build", "--stages", "0,2"), "--stages"),
+        (("build", "--dims", "24,0"), "--dims"),
     ]:
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,31 +1,31 @@
 import numpy as np
 
-from archspace.rng import Rng, normal_sample
+from archspace.rng import Rng
 
 
 def test_zero_std_gives_zero_tensor():
-    t = normal_sample(Rng(0), (2, 2, 2), mean=0.0, std=0.0)
+    t = Rng(0).normal((2, 2, 2), mean=0.0, std=0.0)
     assert t.shape == (2, 2, 2)
     assert np.all(t == 0.0)
 
 
 def test_same_seed_same_stream():
-    a = normal_sample(Rng(7), (3, 4, 5))
-    b = normal_sample(Rng(7), (3, 4, 5))
+    a = Rng(7).normal((3, 4, 5))
+    b = Rng(7).normal((3, 4, 5))
     assert a.tobytes() == b.tobytes()
 
 
 def test_different_seeds_differ():
-    a = normal_sample(Rng(42), (4, 4, 4))
-    b = normal_sample(Rng(43), (4, 4, 4))
+    a = Rng(42).normal((4, 4, 4))
+    b = Rng(43).normal((4, 4, 4))
     assert np.any(a != b)
 
 
 def test_stream_is_pure_function_of_call_sequence():
     r = Rng(5)
-    seq = [r.next_u64() for _ in range(10)] + list(r.uniform01(5)) + list(r.normal(7))
+    seq = [r.next_u64() for _ in range(10)] + [r.uniform() for _ in range(5)] + list(r.normal(7))
     r2 = Rng(5)
-    seq2 = [r2.next_u64() for _ in range(10)] + list(r2.uniform01(5)) + list(r2.normal(7))
+    seq2 = [r2.next_u64() for _ in range(10)] + [r2.uniform() for _ in range(5)] + list(r2.normal(7))
     assert seq == seq2
 
 
@@ -45,7 +45,7 @@ def test_children_are_independent_and_deterministic():
 
 def test_uniform_and_randbelow_ranges():
     r = Rng(3)
-    u = r.uniform01(1000)
+    u = np.array([r.uniform() for _ in range(1000)])
     assert np.all((u >= 0.0) & (u < 1.0))
     draws = [r.randbelow(7) for _ in range(500)]
     assert set(draws) == set(range(7))

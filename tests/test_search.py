@@ -1,6 +1,17 @@
+import pytest
+
 import archspace as a
+from archspace.errors import BudgetError
 from archspace.proxy import ProxyId
-from archspace.search import EvoConfig, SearchLog, WalkConfig, evolve, random_walk, replay_edits
+from archspace.search import (
+    EvoConfig,
+    SearchLog,
+    WalkConfig,
+    evolve,
+    random_walk,
+    replay_edits,
+    size_orthogonality_report,
+)
 
 
 def test_zero_step_walk_logs_only_the_seed(desk_spec, desk_budget):
@@ -105,7 +116,6 @@ def test_all_logged_networks_satisfy_budget(desk_spec):
 
 def test_size_orthogonality_report_is_descriptive():
     from archspace.ops import Shape
-    from archspace.search import size_orthogonality_report
 
     blocks = [a.build("squeeze_excite", Shape(4, 2, 2))]
     spec = a.make_network(4, (16, 16), (1,), (4,), 10, blocks=blocks)
@@ -117,3 +127,16 @@ def test_size_orthogonality_report_is_descriptive():
     assert len(report["params"]) == len(report["scores"]) == 3
     assert report["correlation"] is None or -1.0 <= report["correlation"] <= 1.0
     assert "no threshold" in report["note"]
+
+
+@pytest.mark.parametrize("driver", [
+    lambda net, budget: random_walk(net, WalkConfig(steps=1, budget=budget, seed=0)),
+    lambda net, budget: evolve(net, EvoConfig(total_steps=2, population_size=1, budget=budget,
+                                              proxy_id=ProxyId.NEG_FLOPS)),
+    lambda net, budget: size_orthogonality_report(net, budget, steps=1),
+], ids=["random_walk", "evolve", "size_orthogonality_report"])
+def test_seed_outside_budget_raises_budget_error(desk_spec, driver):
+    # a ValueError too, so callers that caught the untyped error still do
+    with pytest.raises(ValueError, match="outside budget") as exc:
+        driver(desk_spec, a.Budget(0, 1, 0, 1))
+    assert exc.type is BudgetError

@@ -45,6 +45,21 @@ def test_parse_rejects_garbage():
         parse_document(doc)
 
 
+@pytest.mark.parametrize("where", [
+    lambda doc: (doc["network"]["input_resolution"], 0),
+    lambda doc: (doc["network"]["stages"][0], "channels"),
+    lambda doc: (doc["network"], "num_classes"),
+    lambda doc: (doc["blocks"][0], "next_id"),
+], ids=["input_resolution", "channels", "num_classes", "next_id"])
+@pytest.mark.parametrize("value", [24.0, True, "24"], ids=["float", "bool", "string"])
+def test_integer_fields_refuse_other_json_types(desk_spec, where, value):
+    doc = to_document(desk_spec)
+    container, key = where(doc)
+    container[key] = value
+    with pytest.raises(FormatError, match="must be a JSON integer"):
+        parse_document(json.dumps(doc))
+
+
 def test_dot_identity_block_renders_passthrough():
     text = to_dot(a.build("identity", Shape(4, 4, 4)))
     check_dot(text)
