@@ -14,7 +14,6 @@ from .cost import (
     NetworkCostReport,
     block_cost,
     network_cost,
-    node_cost,
 )
 from .dot import to_dot
 from .graph import (

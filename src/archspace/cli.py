@@ -204,9 +204,16 @@ def _add_common(p, *, seed=True, out=True, budget=False):
                        help="params_min,params_max,flops_min,flops_max")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a FormatError (exit 2, one stderr line),
+    not as a usage block and SystemExit; its subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="archspace",
-                                 description="Graph-based architecture space toolkit")
+    ap = _Parser(prog="archspace", description="Graph-based architecture space toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a network of builder blocks")
@@ -289,25 +296,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv[1:] if argv and argv[0] in _SUBCOMMANDS else argv)
-    if known.config:
-        try:
-            with open(known.config) as fh:
-                defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot read config {known.config}: {exc}") from exc
-        for sub_action in ap._actions:
-            if isinstance(sub_action, argparse._SubParsersAction):
-                for sp in sub_action.choices.values():
-                    sp.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
-    return ap.parse_args(argv)
+def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv.  A --config file's entries become flags of the invoked
+    subcommand placed before the given ones, so they pass the same conversion
+    and checks and the command line overrides them; keys that name no flag
+    of that subcommand are ignored."""
+    args = ap.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise FormatError(f"config {args.config} must hold a JSON object")
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[0] for a in sub.choices[args.command]._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    given = []
+    for key, value in config.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise FormatError(f"config {args.config}: {flag} must be a string or a number, got {value!r}")
+        given.append(f"{flag}={value}")
+    return ap.parse_args([argv[0], *given, *argv[1:]])
 
-
-_SUBCOMMANDS = ("build", "validate", "cost", "walk", "search", "score",
-                "eval", "dot", "protocol", "replay")
 
 # Lowest accepted value of the numeric flags that have one.  A comma-list
 # flag is checked entry by entry; an omitted optional flag (None) is not.
@@ -321,7 +337,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        args = _apply_config(ap, argv)
+        args = _parse(ap, argv)
         # Checked after --config defaults apply.  Only vkdnw draws a batch;
         # the other proxies ignore --batch-size.
         if getattr(args, "proxy", None) == ProxyId.VKDNW.value and args.batch_size < MIN_BATCH:

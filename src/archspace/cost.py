@@ -19,7 +19,7 @@ from typing import Optional
 
 from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
 from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
-from .ops import Cost, OpKind, Shape, ZERO_COST, op_cost
+from .ops import CONV, Cost, OpKind, Shape, ZERO_COST, conv2d_cost, op_cost
 
 
 @dataclass(frozen=True)
@@ -40,29 +40,6 @@ class Budget:
             self.params_min <= cost.params <= self.params_max
             and self.flops_min <= cost.flops <= self.flops_max
         )
-
-
-def node_cost(op: OpKind, input_shape: Shape, upsample_target: Optional[tuple[int, int]] = None) -> Cost:
-    """Cost of one node from its (primary) input shape.
-
-    Multi-input ops take equal-shaped inputs except Matmul2, whose cost is
-    a function of its second input (C,H,W) given here.  UpSample needs its
-    coupled target size.
-    """
-    s = Shape(*input_shape)
-    if op is OpKind.MATMUL2:
-        return op_cost(op, [Shape(1, s.h * s.h, s.w * s.w), s], [s])
-    if op is OpKind.UP_SAMPLE:
-        if upsample_target is None:
-            raise ValueError("UpSample cost needs the coupled target size")
-        out = Shape(s.c, upsample_target[0], upsample_target[1])
-        return op_cost(op, [s], [out])
-    ins = [s] * 3 if op is OpKind.CONCAT3 else [s] * 2 if op in (
-        OpKind.CONCAT2, OpKind.ADD, OpKind.MULTIPLY, OpKind.MATMUL1
-    ) else [s]
-    from .ops import transfer
-
-    return op_cost(op, ins, transfer(op, ins))
 
 
 @dataclass(frozen=True)
@@ -91,17 +68,9 @@ def block_cost(block: BlockGraph, shapes: Optional[dict[int, NodeShapes]] = None
     return BlockCostReport(tuple(rows), total)
 
 
-def conv2d_cost(c_in: int, c_out: int, kernel: int, out_h: int, out_w: int) -> Cost:
-    """Standard dense conv with bias, counted at output positions."""
-    return Cost(c_out * (kernel * kernel * c_in + 1), 2 * kernel * kernel * c_in * c_out * out_h * out_w)
-
-
-_FUSABLE_OUT = {OpKind.CONV1: (1, 1), OpKind.CONV3: (3, 1), OpKind.CONV_EXP4: (1, 4), OpKind.CONV_CHUNK3: (1, 3)}
-
-
 def fused_conv_cost(op: OpKind, c_in: int, block_shape: Shape) -> Cost:
     """Cost of a block-leading conv when it consumes c_in channels instead of block C."""
-    kernel, mult = _FUSABLE_OUT[op]
+    kernel, mult = CONV[op]
     c_out = mult * block_shape.c
     return conv2d_cost(c_in, c_out, kernel, block_shape.h, block_shape.w)
 
@@ -149,7 +118,7 @@ def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> T
     shape = Shape(st.channels, *st.spatial)
     pool = pool_cost(c_prev, st.spatial)
     if first_op in FUSABLE_OPS:
-        adj = fused_conv_cost(first_op, c_prev, shape) - node_cost(first_op, shape)
+        adj = fused_conv_cost(first_op, c_prev, shape) - fused_conv_cost(first_op, st.channels, shape)
         return TransitionCost(pool, None, adj, True)
     return TransitionCost(pool, conv2d_cost(c_prev, st.channels, 1, *st.spatial), ZERO_COST, False)
 

@@ -37,7 +37,7 @@ from scipy.special import erf, expit
 from .errors import ShapeMismatch
 from .graph import BlockGraph, INPUT, OUTPUT, in_adjacency, infer_shapes, topo_order
 from .network import ExecutablePlan
-from .ops import OP_INFO, OpKind, Shape, rel_pos_bias_table
+from .ops import CONV, DEPTHWISE, OP_INFO, OpKind, Shape, rel_pos_bias_table
 from .rng import Rng
 
 _BN_EPS = 1e-5
@@ -73,27 +73,18 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
             c_in = entry_in_channels
         node_rng = rng.child(v)
         p: dict[str, np.ndarray] = {}
-        if op is OpKind.CONV1:
-            p["weight"] = _he_weight(node_rng, (s.c, c_in, 1, 1), c_in)
-            p["bias"] = np.zeros(s.c)
-        elif op is OpKind.CONV3:
-            p["weight"] = _he_weight(node_rng, (s.c, c_in, 3, 3), 9 * c_in)
-            p["bias"] = np.zeros(s.c)
-        elif op is OpKind.CONV_DEPTH3:
-            p["weight"] = _he_weight(node_rng, (s.c, 3, 3), 9)
-        elif op is OpKind.CONV_DEPTH5:
-            p["weight"] = _he_weight(node_rng, (s.c, 5, 5), 25)
+        if op in CONV:
+            k, m = CONV[op]
+            p["weight"] = _he_weight(node_rng, (m * s.c, c_in, k, k), k * k * c_in)
+            p["bias"] = np.zeros(m * s.c)
+        elif op in DEPTHWISE:
+            k = DEPTHWISE[op]
+            p["weight"] = _he_weight(node_rng, (s.c, k, k), k * k)
         elif op in (OpKind.BATCH_NORM, OpKind.LAYER_NORM):
             p["scale"] = np.ones(s.c)
             p["shift"] = np.zeros(s.c)
         elif op is OpKind.REL_POS_BIAS:
             p["table"] = np.zeros(rel_pos_bias_table(s.h, s.w))
-        elif op is OpKind.CONV_CHUNK3:
-            p["weight"] = _he_weight(node_rng, (3 * s.c, c_in, 1, 1), c_in)
-            p["bias"] = np.zeros(3 * s.c)
-        elif op in (OpKind.CONV_EXP4, OpKind.CONV_RED4):
-            p["weight"] = _he_weight(node_rng, (4 * s.c, c_in, 1, 1), c_in)
-            p["bias"] = np.zeros(4 * s.c)
         if p:
             store.tensors[v] = p
     return store
@@ -198,13 +189,14 @@ def _exec_node(op, ins, params):
         return [expit(x)]
     if op is OpKind.GELU:
         return [gelu(x)]
-    if op in (OpKind.CONV1, OpKind.CONV3):
-        pad = 1 if op is OpKind.CONV3 else 0
-        return [conv2d(x, params["weight"], params["bias"], padding=pad)]
-    if op is OpKind.CONV_DEPTH3:
-        return [depthwise_conv2d(x, params["weight"], padding=1)]
-    if op is OpKind.CONV_DEPTH5:
-        return [depthwise_conv2d(x, params["weight"], padding=2)]
+    if op in CONV:
+        y = conv2d(x, params["weight"], params["bias"], padding=CONV[op][0] // 2)
+        if op is OpKind.CONV_RED4:
+            n, c4, h, w = y.shape
+            y = y.reshape(n, c4 // 16, 16, h, w).mean(axis=2)
+        return np.split(y, OP_INFO[op].out_arity, axis=1)
+    if op in DEPTHWISE:
+        return [depthwise_conv2d(x, params["weight"], padding=DEPTHWISE[op] // 2)]
     if op is OpKind.BATCH_NORM:
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)
@@ -217,12 +209,8 @@ def _exec_node(op, ins, params):
         return [xn * params["scale"][None, :, None, None] + params["shift"][None, :, None, None]]
     if op is OpKind.REL_POS_BIAS:
         return [_rel_pos_add(x, params["table"])]
-    if op is OpKind.CHUNK2:
-        c = x.shape[1] // 2
-        return [x[:, :c], x[:, c:]]
-    if op is OpKind.CHUNK3:
-        c = x.shape[1] // 3
-        return [x[:, :c], x[:, c:2 * c], x[:, 2 * c:]]
+    if op in (OpKind.CHUNK2, OpKind.CHUNK3):
+        return np.split(x, OP_INFO[op].out_arity, axis=1)
     if op is OpKind.COPY:
         return [x, x.copy()]
     if op in (OpKind.CONCAT2, OpKind.CONCAT3):
@@ -231,16 +219,6 @@ def _exec_node(op, ins, params):
         return [ins[0] + ins[1]]
     if op is OpKind.MULTIPLY:
         return [ins[0] * ins[1]]
-    if op is OpKind.CONV_CHUNK3:
-        y = conv2d(x, params["weight"], params["bias"])
-        c = y.shape[1] // 3
-        return [y[:, :c], y[:, c:2 * c], y[:, 2 * c:]]
-    if op is OpKind.CONV_EXP4:
-        return [conv2d(x, params["weight"], params["bias"])]
-    if op is OpKind.CONV_RED4:
-        y = conv2d(x, params["weight"], params["bias"])
-        n, c4, h, w = y.shape
-        return [y.reshape(n, c4 // 16, 16, h, w).mean(axis=2)]
     if op is OpKind.MATMUL1:
         return [matmul1(ins[0], ins[1])]
     if op is OpKind.MATMUL2:
@@ -445,12 +423,17 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         d = _cached(tape, v, lambda: 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
                     + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
         return one(g * align(d))
-    if op in (OpKind.CONV1, OpKind.CONV3):
-        gx, grads = _conv_vjp(g, x, params["weight"], 1 if op is OpKind.CONV3 else 0, align, want[0])
+    if op in (OpKind.CHUNK2, OpKind.CHUNK3, OpKind.CONV_CHUNK3):
+        g = np.concatenate(gs, axis=2)
+        if op is not OpKind.CONV_CHUNK3:
+            return one(g)
+    if op is OpKind.CONV_RED4:
+        g = np.repeat(g, 16, axis=2) / 16.0
+    if op in CONV:
+        gx, grads = _conv_vjp(g, x, params["weight"], CONV[op][0] // 2, align, want[0])
         return [gx], grads
-    if op in (OpKind.CONV_DEPTH3, OpKind.CONV_DEPTH5):
-        pad = 1 if op is OpKind.CONV_DEPTH3 else 2
-        gx, grads = _depthwise_vjp(g, x, params["weight"], pad, align, want[0])
+    if op in DEPTHWISE:
+        gx, grads = _depthwise_vjp(g, x, params["weight"], DEPTHWISE[op] // 2, align, want[0])
         return [gx], grads
     if op is OpKind.BATCH_NORM:
         # Rows are full here: statistics couple every sample of the batch.
@@ -481,12 +464,6 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         gt = np.zeros((table.size, g.shape[0]))
         np.add.at(gt, flat, per_pos.T)
         return [g], {"table": gt.T.reshape(g.shape[0], *table.shape)}
-    if op in (OpKind.CHUNK2, OpKind.CHUNK3, OpKind.CONV_CHUNK3):
-        gy = np.concatenate(gs, axis=2)
-        if op is not OpKind.CONV_CHUNK3:
-            return one(gy)
-        gx, grads = _conv_vjp(gy, x, params["weight"], 0, align, want[0])
-        return [gx], grads
     if op is OpKind.COPY:
         return one(gs[0] + gs[1])
     if op in (OpKind.CONCAT2, OpKind.CONCAT3):
@@ -496,12 +473,6 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         return [g, g], {}
     if op is OpKind.MULTIPLY:
         return [g * align(ins[1]) if want[0] else None, g * align(ins[0]) if want[1] else None], {}
-    if op is OpKind.CONV_EXP4:
-        gx, grads = _conv_vjp(g, x, params["weight"], 0, align, want[0])
-        return [gx], grads
-    if op is OpKind.CONV_RED4:
-        gx, grads = _conv_vjp(np.repeat(g, 16, axis=2) / 16.0, x, params["weight"], 0, align, want[0])
-        return [gx], grads
     if op is OpKind.MATMUL1:
         y = ins[1]
         c, h, w = x.shape[1:]

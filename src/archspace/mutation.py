@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .cost import Budget, block_cost, skeleton_cost, transition_cost
-from .errors import GraphError, InfeasibleEdit, StaleEdit
+from .errors import FormatError, GraphError, InfeasibleEdit, StaleEdit
 from .graph import (
     BlockGraph,
     Edge,
@@ -43,6 +43,7 @@ from .graph import (
 from .network import NetworkSpec
 from .ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, op_cost, transfer
 from .rng import Rng
+from .serialize import json_int, json_ints
 
 
 class Template(NamedTuple):
@@ -141,11 +142,16 @@ class Edit:
 
     @staticmethod
     def from_json(d: dict) -> "Edit":
+        """FormatError, KeyError or TypeError for a missing or mistyped field."""
+        block, anchor = json_int(d["block"], "edit block"), json_int(d["anchor"], "edit anchor")
         if d["kind"] == "add":
-            return Edit("add", d["block"], d["anchor"], d["digest"], template=d["template"],
-                        cut_edge=Edge(*d["cut_edge"]), new_ids=tuple(d["new_ids"]))
-        return Edit("eliminate", d["block"], d["anchor"], d["digest"],
-                    doomed=tuple(d["doomed"]), bridge=Edge(*d["bridge"]))
+            if not isinstance(d["template"], str):
+                raise FormatError(f"edit template must be a JSON string, got {d['template']!r}")
+            return Edit("add", block, anchor, d["digest"], template=d["template"],
+                        cut_edge=Edge(*json_ints(d["cut_edge"], "cut_edge", 4)),
+                        new_ids=json_ints(d["new_ids"], "new_ids"))
+        return Edit("eliminate", block, anchor, d["digest"], doomed=json_ints(d["doomed"], "doomed"),
+                    bridge=Edge(*json_ints(d["bridge"], "bridge", 4)))
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,8 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
 
 def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:
     """New network with the edit applied; the original is untouched."""
+    if not 0 <= edit.block_index < len(spec.blocks):
+        raise InfeasibleEdit(f"edit names block {edit.block_index} of {len(spec.blocks)}")
     return spec.with_block(edit.block_index, apply_block_edit(spec.blocks[edit.block_index], edit))
 
 

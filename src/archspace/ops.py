@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * Tensors inside a block are rank-3 with axis order (C, H, W).
 * FLOPs count every multiplication and addition of a single forward pass,
   so totals will not match runtime profilers that only count MACs.
+* Convolution geometry is stated once, in ``CONV`` (dense, with bias) and
+  ``DEPTHWISE`` (no bias); the cost rules, the fused stage projection and
+  the interpreter's init, forward and backward all read it.
 * ``ConvRed4`` is realized as a full 1x1 convolution to 4C channels
   followed by a fixed (parameter-free) mean over groups of 16 channels,
   which yields a C -> C/4 reduction whose trainable-scalar count equals
@@ -115,6 +118,19 @@ OP_INFO = {
     OpKind.GLOBAL_AVG: OpInfo(1, 1, False, False),
     OpKind.UP_SAMPLE: OpInfo(1, 1, False, False),
 }
+
+# Dense convolutions with bias: (kernel, output channels per input channel).
+# Padding is kernel // 2, so every one keeps H and W.
+CONV = {
+    OpKind.CONV1: (1, 1),
+    OpKind.CONV3: (3, 1),
+    OpKind.CONV_CHUNK3: (1, 3),
+    OpKind.CONV_EXP4: (1, 4),
+    OpKind.CONV_RED4: (1, 4),
+}
+
+# Depthwise convolutions without bias: kernel.
+DEPTHWISE = {OpKind.CONV_DEPTH3: 3, OpKind.CONV_DEPTH5: 5}
 
 # Ops whose insertion changes dimensions or fan-out and therefore only ever
 # enter a graph together with a shape-restoring counterpart.
@@ -227,6 +243,11 @@ def rel_pos_bias_table(h: int, w: int) -> tuple[int, int]:
     return (2 * u - 1, 2 * v - 1)
 
 
+def conv2d_cost(c_in: int, c_out: int, kernel: int, out_h: int, out_w: int) -> Cost:
+    """Standard dense conv with bias, counted at output positions."""
+    return Cost(c_out * (kernel * kernel * c_in + 1), 2 * kernel * kernel * c_in * c_out * out_h * out_w)
+
+
 def op_cost(op: OpKind, in_shapes: Sequence[Shape], out_shapes: Sequence[Shape]) -> Cost:
     """Exact params/FLOPs of one node given its inferred shapes."""
     s = in_shapes[0]
@@ -240,14 +261,12 @@ def op_cost(op: OpKind, in_shapes: Sequence[Shape], out_shapes: Sequence[Shape])
         return Cost(0, 9 * chw)
     if op in (OpKind.SIGMOID, OpKind.GELU):
         return Cost(0, 3 * chw)
-    if op is OpKind.CONV1:
-        return Cost(c * (c + 1), 2 * c * chw)
-    if op is OpKind.CONV3:
-        return Cost(c * (9 * c + 1), 18 * c * chw)
-    if op is OpKind.CONV_DEPTH3:
-        return Cost(9 * c, 18 * chw)
-    if op is OpKind.CONV_DEPTH5:
-        return Cost(25 * c, 50 * chw)
+    if op in CONV:
+        k, m = CONV[op]
+        return conv2d_cost(c, m * c, k, h, w)
+    if op in DEPTHWISE:
+        k = DEPTHWISE[op]
+        return Cost(k * k * c, 2 * k * k * chw)
     if op in (OpKind.BATCH_NORM, OpKind.LAYER_NORM):
         return Cost(2 * c, 2 * chw)
     if op is OpKind.REL_POS_BIAS:
@@ -256,10 +275,6 @@ def op_cost(op: OpKind, in_shapes: Sequence[Shape], out_shapes: Sequence[Shape])
         return ZERO_COST
     if op is OpKind.ADD:
         return Cost(0, chw)
-    if op is OpKind.CONV_CHUNK3:
-        return Cost(3 * c * (c + 1), 6 * c * chw)
-    if op in (OpKind.CONV_EXP4, OpKind.CONV_RED4):
-        return Cost(4 * c * (c + 1), 8 * c * chw)
     if op is OpKind.MULTIPLY:
         return Cost(0, 4 * chw)
     if op is OpKind.MATMUL1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .cost import Budget
 from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
-from .network import NetworkSpec
+from .network import NetworkSpec, assemble_network
 from .proxy import DEFAULT_BATCH, ProxyId, score_network
 from .rng import Rng
 
@@ -79,7 +79,9 @@ class SearchLog:
 
 
 def _seed_state(seed_net: NetworkSpec, budget: Budget) -> CostState:
-    """The seed's cost ledger; BudgetError when the seed lies outside the budget."""
+    """The seed's cost ledger; AssemblyError when the seed is not a valid
+    network, BudgetError when it lies outside the budget."""
+    assemble_network(seed_net)
     state = CostState.from_spec(seed_net)
     if not budget.contains(state.total):
         raise BudgetError(f"seed network cost {state.total} outside budget {budget}")

@@ -9,6 +9,7 @@ networks serialize to identical bytes on every platform.
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 from .errors import FormatError
 from .graph import BlockGraph, Edge, topo_order
@@ -18,15 +19,19 @@ from .ops import OP_BY_NAME, Shape
 FORMAT_VERSION = 1
 
 
-def _int(value, what: str) -> int:
+def json_int(value, what: str) -> int:
     """A JSON integer; bools, floats and strings are refused, not truncated."""
     if type(value) is not int:
         raise FormatError(f"{what} must be a JSON integer, got {value!r}")
     return value
 
 
-def _ints(values, what: str) -> tuple[int, ...]:
-    return tuple(_int(v, what) for v in values)
+def json_ints(values, what: str, n: Optional[int] = None) -> tuple[int, ...]:
+    """A JSON list of integers, of length n when n is given."""
+    out = tuple(json_int(v, what) for v in values)
+    if n is not None and len(out) != n:
+        raise FormatError(f"{what} must hold {n} integers, got {values!r}")
+    return out
 
 
 def block_to_json(block: BlockGraph) -> dict:
@@ -41,20 +46,20 @@ def block_to_json(block: BlockGraph) -> dict:
 
 def block_from_json(d: dict) -> BlockGraph:
     try:
-        shape = Shape(*_ints(d["input_shape"], "input_shape"))
+        shape = Shape(*json_ints(d["input_shape"], "input_shape"))
         ops = {}
         for n in d["nodes"]:
             name = n["op"]
             if name not in OP_BY_NAME:
                 raise FormatError(f"unknown op {name!r}")
-            ops[_int(n["id"], "node id")] = OP_BY_NAME[name]
-        edges = tuple(Edge(*_ints(e, "edge")) for e in d["edges"])
+            ops[json_int(n["id"], "node id")] = OP_BY_NAME[name]
+        edges = tuple(Edge(*json_ints(e, "edge")) for e in d["edges"])
         # Object keys are strings in JSON, so couple keys are decimal strings.
-        couples = {int(v): _ints(ps, "couple partner") for v, ps in d["couples"].items()}
-        return BlockGraph(shape, ops, edges, couples, _int(d["next_id"], "next_id"))
+        couples = {int(v): json_ints(ps, "couple partner") for v, ps in d["couples"].items()}
+        return BlockGraph(shape, ops, edges, couples, json_int(d["next_id"], "next_id"))
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed block document: {exc}") from exc
 
 
@@ -87,7 +92,7 @@ def parse_document(data) -> NetworkSpec:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("document must be a JSON object")
@@ -96,20 +101,20 @@ def parse_document(data) -> NetworkSpec:
     try:
         net = data["network"]
         stages = tuple(
-            StageSpec(_int(s["n_blocks"], "n_blocks"), _int(s["channels"], "channels"),
-                      _ints(s["spatial"], "spatial"))
+            StageSpec(json_int(s["n_blocks"], "n_blocks"), json_int(s["channels"], "channels"),
+                      json_ints(s["spatial"], "spatial", 2))
             for s in net["stages"]
         )
         blocks = tuple(block_from_json(b) for b in data["blocks"])
         return NetworkSpec(
-            in_channels=_int(net["in_channels"], "in_channels"),
-            stem_out_channels=_int(net["stem_out_channels"], "stem_out_channels"),
-            input_resolution=_ints(net["input_resolution"], "input_resolution"),
+            in_channels=json_int(net["in_channels"], "in_channels"),
+            stem_out_channels=json_int(net["stem_out_channels"], "stem_out_channels"),
+            input_resolution=json_ints(net["input_resolution"], "input_resolution", 2),
             stages=stages,
             blocks=blocks,
-            num_classes=_int(net["num_classes"], "num_classes"),
+            num_classes=json_int(net["num_classes"], "num_classes"),
         )
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed network document: {exc}") from exc

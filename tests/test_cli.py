@@ -160,27 +160,49 @@ def test_exit_codes(tmp_path, capsys):
     assert run("walk", str(net), "--steps", "2", "--out", str(log)) == 0
     record = next(json.loads(line) for line in log.read_text().splitlines()
                   if json.loads(line)["edit"] is not None)
+    null_anchor = tmp_path / "null_anchor.jsonl"
+    null_anchor.write_text(json.dumps({**record, "edit": {**record["edit"], "anchor": None}}) + "\n")
     del record["edit"]["block"]
     headless = tmp_path / "headless.jsonl"
     headless.write_text(json.dumps(record) + "\n")
-    doc = json.loads(net.read_text())
-    doc["network"]["input_resolution"][0] = 16.0
-    float_doc = tmp_path / "float.json"
-    float_doc.write_text(json.dumps(doc))
+    bad_docs = {}
+    for name, damage in [
+        ("float", lambda d: d["network"]["input_resolution"].__setitem__(0, 16.0)),
+        ("null_couples", lambda d: d["blocks"][0].__setitem__("couples", None)),
+        ("short_spatial", lambda d: d["network"]["stages"][0].__setitem__("spatial", [2])),
+        ("no_blocks", lambda d: d.__setitem__("blocks", [])),
+    ]:
+        doc = json.loads(net.read_text())
+        damage(doc)
+        bad_docs[name] = tmp_path / f"{name}.json"
+        bad_docs[name].write_text(json.dumps(doc))
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff" + net.read_bytes())
     zero_batch = tmp_path / "zero_batch.json"
     zero_batch.write_text(json.dumps({"batch": 0}))
+    float_batch = tmp_path / "float_batch.json"
+    float_batch.write_text(json.dumps({"batch": 1.5}))
     capsys.readouterr()
     for argv, flag in [
         (("walk", str(net), "--budget", "1,2,x,4"), "--budget"),
         (("walk", str(net), "--steps", "-5"), "--steps"),
         (("search", str(net), "--population", "0", "--proxy", "negflops"), "--population"),
         (("replay", str(net), "--log", str(headless)), "block"),
-        (("validate", str(float_doc)), "input_resolution"),
+        (("replay", str(net), "--log", str(null_anchor)), "anchor"),
+        (("validate", str(bad_docs["float"])), "input_resolution"),
+        (("validate", str(bad_docs["null_couples"])), "malformed block"),
+        (("cost", str(bad_docs["short_spatial"])), "spatial"),
+        (("cost", str(not_utf8)), "not valid JSON"),
         (("dot", str(net), "--block", "99"), "--block"),
         (("dot", str(net), "--block", "-1"), "--block"),
         (("eval", str(net), "--batch", "0"), "--batch"),
         (("eval", str(net), "--batch", "-1"), "--batch"),
         (("eval", str(net), "--config", str(zero_batch)), "--batch"),
+        (("eval", str(net), "--config", str(float_batch)), "--batch"),
+        (("build", "--stages", "2,x"), "--stages"),
+        (("walk", str(net), "--steps", "abc"), "--steps"),
+        (("protocol", "--task", "bogus"), "--task"),
+        ((), "command"),
         (("protocol", "--task", "classification", "--gpus", "0"), "--gpus"),
         (("protocol", "--task", "classification", "--gpus", "-2"), "--gpus"),
         (("score", str(net), "--threads", "0"), "--threads"),
@@ -201,10 +223,15 @@ def test_exit_codes(tmp_path, capsys):
         assert run(*argv) == 2, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
-    # 1: a well-formed edit that names no template is refused, not a traceback
-    record["edit"].update(block=0, template="nope")
-    headless.write_text(json.dumps(record) + "\n")
-    assert run("replay", str(net), "--log", str(headless)) == 1
+    # 1: a well-formed edit that names no template or no block is refused, not a traceback
+    for fields, says in [({"block": 0, "template": "nope"}, "nope"), ({"block": 7}, "block 7")]:
+        record["edit"].update(fields)
+        headless.write_text(json.dumps(record) + "\n")
+        assert run("replay", str(net), "--log", str(headless)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and says in err, (fields, err)
+    # 1: a seed network with fewer blocks than its stages hold is refused before the walk
+    assert run("walk", str(bad_docs["no_blocks"]), "--steps", "1") == 1
 
 
 def test_config_file_supplies_defaults(tmp_path):
@@ -213,3 +240,7 @@ def test_config_file_supplies_defaults(tmp_path):
     out = tmp_path / "p.json"
     assert run("protocol", "--config", str(cfgfile), "--out", str(out)) == 0
     assert json.loads(out.read_text())["epochs"] == 12
+    # Keys of other subcommands' flags are ignored, not range-checked here.
+    cfgfile.write_text(json.dumps({"steps": -1}))
+    assert run("protocol", "--task", "classification", "--config", str(cfgfile),
+               "--out", str(out)) == 0

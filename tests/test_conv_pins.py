@@ -1,0 +1,96 @@
+"""Byte pins for every convolution path: parameter init, forward and block
+gradients over blocks holding all seven convolution ops, and the cost
+report and logits of networks whose stage-leading op is each fusable conv
+(so its weights take the projection's input channels).
+
+The pins were recorded before the convolution geometry moved into one
+table; a deliberate change of these bytes updates them and is recorded in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import archspace as a
+from archspace.graph import INPUT, BlockGraph
+from archspace.mutation import TEMPLATES, Edit, apply_block_edit
+from archspace.ops import Shape
+from archspace.proxy import block_gradients
+from archspace.rng import Rng
+
+ALL_CONVS = ("attention", "conv1", "conv3", "convdepth3", "convdepth5", "convexp4_convred4")
+
+
+def _block(shape, templates):
+    """The templates in order along the block's one path."""
+    blk = BlockGraph.identity(shape)
+    for name in reversed(templates):
+        ids = tuple(range(blk.next_id, blk.next_id + len(TEMPLATES[name].ops)))
+        blk = apply_block_edit(blk, Edit("add", 0, INPUT, blk.digest, template=name,
+                                         cut_edge=blk.out_edges(INPUT)[0], new_ids=ids))
+    return blk
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+BLOCK_PINS = {
+    "convs": ("e971e600d6a3a12677e1f55ba3b5e9a18d808c18227b66d68b3e8af2e04ee232",
+              "df821f8bc55d0c79d6c593b5f79b3b5ab69180da6c3d1f39912100dc4bd3bb1b",
+              "64765cd302bcb43632980bac1398a5a17fbec9ea27f2f5e7b00f9dd35a61269b"),
+    "convs_batchnorm": ("4d1e67baa80c54134e96ac2bf78b56270437ee69ede719277fcbabb2cef6c435",
+                        "5fc44489f101cfa94ba8cf18ee47c6b97a50edb0827ef65e445082a74f20673b",
+                        "deb4e74af8b58d4c03a91c113bac368a6f8685457f52d66b38531c0ffaf38c7d"),
+}
+
+NETWORK_PINS = {
+    "conv1": ("d442c380a88356d0e7020b1277b11016dd90356a7028388640101e88c7204941",
+              "9c41932437b4fb366f06b0a8a5e5748f8378f7c054c630307ff04179979ff474"),
+    "conv3": ("d62ae382096a66dc27b299dd52e113af579f86c217ff2b66c6c951f4edf9f398",
+              "0116e8de8a5e88c4b05fe5700f876491d83c11b7ee3f6c3013517b984d7a432f"),
+    "convexp4_convred4": ("8b70540aab1acb471813757999a820f294511fe23e7f0da5d06fae34afe57092",
+                          "6f81257a839fe5654f834c3c4fa26d7115c39c2d8b3fe8983005ca0b3d797f98"),
+    "attention": ("ec6efc0c6ba836087a5901e82b3cbf45f4816532b8ba233cef7288b5f036abcb",
+                  "996974fb738ef1f13f50dc559ae2f64a5dbb6f573cd9f733c93512229fd0101a"),
+}
+
+
+def _block_bytes(templates):
+    shape = Shape(8, 4, 4)
+    blk = _block(shape, templates)
+    store = a.init_params(blk, Rng(11))
+    params = [arr for v in sorted(store.tensors) for _, arr in sorted(store.tensors[v].items())]
+    x = Rng(12).normal((4, *shape))
+    u = Rng(13).normal(tuple(shape))
+    return (_digest(*params), _digest(a.forward(blk, store, x)),
+            _digest(block_gradients(blk, store, x, u)))
+
+
+def _network_bytes(template):
+    spec0 = a.make_network(6, (32, 32), (1, 1), (8, 16), 10)
+    blocks = [_block(Shape(st.channels, *st.spatial), (template, "gelu")) for st in spec0.stages]
+    spec = a.make_network(6, (32, 32), (1, 1), (8, 16), 10, blocks=blocks)
+    report = json.dumps(a.network_cost(spec).to_json(), sort_keys=True).encode()
+    plan = a.assemble_network(spec)
+    assert all(t.fused for t in plan.transitions)
+    params = a.init_network_params(plan, Rng(21).child(0))
+    logits = a.forward_network(plan, params, Rng(21).child(1).normal((2, 3, 32, 32)))
+    return hashlib.sha256(report).hexdigest(), _digest(logits)
+
+
+def test_conv_block_bytes_are_pinned():
+    got = {name: _block_bytes(t) for name, t in [
+        ("convs", ALL_CONVS),
+        ("convs_batchnorm", ALL_CONVS[:3] + ("batchnorm",) + ALL_CONVS[3:]),
+    ]}
+    assert got == BLOCK_PINS
+
+
+def test_fused_conv_network_bytes_are_pinned():
+    got = {t: _network_bytes(t) for t in ("conv1", "conv3", "convexp4_convred4", "attention")}
+    assert got == NETWORK_PINS

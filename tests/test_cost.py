@@ -1,7 +1,7 @@
 import pytest
 
 import archspace as a
-from archspace.cost import Budget, block_cost, network_cost, node_cost
+from archspace.cost import Budget, block_cost, network_cost
 from archspace.graph import BlockGraph, Edge, GraphAssembler, INPUT, OUTPUT
 from archspace.mutation import (
     TEMPLATE_NAMES,
@@ -16,24 +16,42 @@ from archspace.mutation import (
     propose_step,
     template_feasible,
 )
-from archspace.ops import OpKind, Shape
+from archspace.ops import OpKind, Shape, op_cost, transfer
 from archspace.rng import Rng
 
 
 def test_conv3_cost():
-    assert node_cost(OpKind.CONV3, Shape(8, 4, 4)) == (8 * (9 * 8 + 1), 18 * 64 * 16)
+    s = Shape(8, 4, 4)
+    assert op_cost(OpKind.CONV3, [s], [s]) == (8 * (9 * 8 + 1), 18 * 64 * 16)
+
+
+def test_conv_costs_match_operation_table():
+    # README operation table at (C,H,W) = (8,4,4), written out by hand so a
+    # wrong entry in ops.CONV / ops.DEPTHWISE cannot pass unseen.
+    s = Shape(8, 4, 4)
+    table = {
+        OpKind.CONV1: (72, 2048),          # C(C+1), 2C^2HW
+        OpKind.CONV3: (584, 18432),        # C(9C+1), 18C^2HW
+        OpKind.CONV_DEPTH3: (72, 2304),    # 9C, 18CHW
+        OpKind.CONV_DEPTH5: (200, 6400),   # 25C, 50CHW
+        OpKind.CONV_CHUNK3: (216, 6144),   # 3C(C+1), 6C^2HW
+        OpKind.CONV_EXP4: (288, 8192),     # 4C(C+1), 8C^2HW
+        OpKind.CONV_RED4: (288, 8192),     # 4C(C+1), 8C^2HW
+    }
+    assert {op: op_cost(op, [s], transfer(op, [s])) for op in table} == table
 
 
 def test_softmax_cost():
-    assert node_cost(OpKind.SOFTMAX, Shape(2, 3, 4)) == (0, 2 * 3 * (3 * 4 - 1))
+    s = Shape(2, 3, 4)
+    assert op_cost(OpKind.SOFTMAX, [s], [s]) == (0, 2 * 3 * (3 * 4 - 1))
 
 
 def test_chunk2_is_free():
-    assert node_cost(OpKind.CHUNK2, Shape(6, 5, 7)) == (0, 0)
+    assert op_cost(OpKind.CHUNK2, [Shape(6, 5, 7)], [Shape(3, 5, 7)] * 2) == (0, 0)
 
 
 def test_matmul1_flops():
-    assert node_cost(OpKind.MATMUL1, Shape(3, 2, 2)) == (0, 2 * 3 * 4 * 4)
+    assert op_cost(OpKind.MATMUL1, [Shape(3, 2, 2)] * 2, [Shape(1, 4, 4)]) == (0, 2 * 3 * 4 * 4)
 
 
 def test_gelu_block_cost():
@@ -82,13 +100,13 @@ def test_mbconv4_matches_hand_summed_form():
 
 
 def test_upsample_cost_uses_target_size():
-    assert node_cost(OpKind.UP_SAMPLE, Shape(6, 1, 1), upsample_target=(4, 5)) == (0, 6 * 4 * 5)
+    assert op_cost(OpKind.UP_SAMPLE, [Shape(6, 1, 1)], [Shape(6, 4, 5)]) == (0, 6 * 4 * 5)
 
 
 def test_relposbias_cost_rounds_half_up():
     # H = W = 16: table is 7x7 = 49, formula value 24.5 rounds to 25.
-    assert node_cost(OpKind.REL_POS_BIAS, Shape(3, 16, 16)).params == 25
-    assert node_cost(OpKind.REL_POS_BIAS, Shape(3, 1, 1)).params == 1
+    for s, params in [(Shape(3, 16, 16), 25), (Shape(3, 1, 1), 1)]:
+        assert op_cost(OpKind.REL_POS_BIAS, [s], [s]).params == params
 
 
 def test_identity_network_costs_overhead_only():
