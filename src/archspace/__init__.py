@@ -58,7 +58,6 @@ from .proxy import (
     FisherSpectrum,
     ProxyId,
     ProxyScore,
-    block_fisher,
     block_gradients,
     score_network,
     spectrum_of,

@@ -39,15 +39,18 @@ def _parse_budget(text: str) -> Budget:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int list (N,N,...): {text!r}") from None
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
-    if "x" in text:
-        h, w = text.split("x")
+    try:
+        h, w = text.split("x") if "x" in text else (text, text)
         return int(h), int(w)
-    n = int(text)
-    return n, n
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid resolution (N or HxW): {text!r}") from None
 
 
 def _read_spec(path: str):

@@ -49,10 +49,6 @@ class StaleEdit(ArchSpaceError):
     """Edit was produced against a different version of the network."""
 
 
-class TooManyParams(ArchSpaceError):
-    """Block exceeds the finite-difference parameter ceiling."""
-
-
 class AssemblyError(ArchSpaceError):
     """Network assembly failed; carries the offending block index (-1 when
     no block is at fault).  The detail names the block itself."""

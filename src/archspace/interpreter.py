@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import ShapeMismatch
 from .graph import BlockGraph, INPUT, OUTPUT, in_adjacency, infer_shapes, topo_order
@@ -133,6 +132,19 @@ def maxpool2d(x, kernel=3, stride=1, padding=1):
     return out
 
 
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def erf(x):
+    return np.asarray(_erf(x), dtype=np.float64)
+
+
+def sigmoid(x):
+    # exp(-x) overflows to inf for x < -709, and 1 / inf is the exact 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def gelu(x):
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
 
@@ -186,7 +198,7 @@ def _exec_node(op, ins, params):
     if op is OpKind.MASK:
         return [x * _band(x.shape[2])[None, None, :, :]]
     if op is OpKind.SIGMOID:
-        return [expit(x)]
+        return [sigmoid(x)]
     if op is OpKind.GELU:
         return [gelu(x)]
     if op in CONV:

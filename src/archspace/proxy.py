@@ -18,9 +18,8 @@ spectrum never builds the P x P matrix: F = G^T G / B has at most B nonzero
 eigenvalues, the squared singular values of G over B (the eigenvalues of
 the B x B Gram matrix G G^T / B), and the other P - B are exact zeros.  So a
 block with P >= 10 B has nine zero deciles and scores exactly 0, and there
-is no parameter ceiling.  Central finite differences (``fd_gradients``,
-``block_fisher``) remain as the test oracle for the gradients and the
-spectrum.
+is no parameter ceiling.  Central finite differences (``fd_gradients``)
+remain as the test oracle for the gradients.
 
 Baseline proxies for ablation plumbing: negparams / negflops (negated
 network totals, so maximization prefers smaller) and a seeded random draw.
@@ -35,7 +34,6 @@ from enum import Enum
 import numpy as np
 
 from .cost import network_cost
-from .errors import TooManyParams
 from .graph import OUTPUT, BlockGraph, topo_order
 from .interpreter import ParamStore, forward, forward_tape, init_params, vjp_rows
 from .network import NetworkSpec
@@ -44,8 +42,6 @@ from .rng import Rng
 DEFAULT_BATCH = 64
 MIN_BATCH = 10
 DEFAULT_FD_STEP = 1e-4
-DEFAULT_FD_CEILING = 2000
-_EIG_FLOOR = -1e-10
 # Cotangent elements per reverse sweep once rows span the whole batch.
 _SWEEP_ELEMENTS = 1 << 18
 
@@ -59,7 +55,7 @@ class ProxyId(Enum):
 
 @dataclass(frozen=True)
 class FisherSpectrum:
-    eigenvalues: tuple[float, ...]   # non-increasing, clamped at 0
+    eigenvalues: tuple[float, ...]   # non-increasing, all >= 0
     deciles: tuple[float, ...]       # the 9 interior deciles, ascending
 
 
@@ -143,51 +139,22 @@ def fd_gradients(
     return grads
 
 
-def block_fisher(
-    block: BlockGraph,
-    store: ParamStore,
-    batch: np.ndarray,
-    u: np.ndarray,
-    h: float = DEFAULT_FD_STEP,
-    fd_ceiling: int = DEFAULT_FD_CEILING,
-) -> np.ndarray:
-    """Empirical Fisher F = (1/B) sum_i g_i g_i^T from finite differences;
-    the test oracle of the reverse-mode path."""
-    p = store.scalar_count()
-    if p > fd_ceiling:
-        raise TooManyParams(f"block has {p} parameters, finite-difference ceiling is {fd_ceiling}")
-    if p == 0:
-        return np.zeros((0, 0))
-    if batch.shape[0] < MIN_BATCH:
-        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
-    g = fd_gradients(block, store, batch, u, h)
-    return (g.T @ g) / batch.shape[0]
+def spectrum_of(g: np.ndarray) -> FisherSpectrum:
+    """Eigenvalues of F = G^T G / B for the (B, P) gradient matrix G, and
+    their nine interior deciles.
 
-
-def spectrum_of(matrix: np.ndarray, gradients: bool = False) -> FisherSpectrum:
-    """Fisher eigenvalues (clamped to >= 0) and their nine interior deciles.
-
-    ``matrix`` is the P x P Fisher, or with ``gradients`` the (B, P) gradient
-    matrix G of F = G^T G / B: then the eigenvalues are G's squared singular
-    values over B, padded with exact zeros to length P; singular values
-    under numpy's matrix_rank tolerance are roundoff and count as zeros.
+    The eigenvalues are G's squared singular values over B, padded with
+    exact zeros to length P; singular values under numpy's matrix_rank
+    tolerance are roundoff and count as zeros.
     """
-    if gradients:
-        b, p = matrix.shape
-        eig = np.zeros(p)
-        if p:
-            sv = np.linalg.svd(matrix, compute_uv=False)
-            sv[sv <= sv[0] * max(b, p) * np.finfo(float).eps] = 0.0
-            eig[:sv.size] = sv * sv / b
-    else:
-        if matrix.size == 0:
-            return FisherSpectrum((), (0.0,) * 9)
-        eig = np.linalg.eigvalsh(matrix)
-        if eig.min() < _EIG_FLOOR:
-            raise ValueError(f"Gram matrix produced eigenvalue {eig.min()} < {_EIG_FLOOR}")
-    if eig.size == 0:
+    b, p = g.shape
+    if p == 0:
         return FisherSpectrum((), (0.0,) * 9)
-    eig = np.sort(np.clip(eig, 0.0, None))
+    sv = np.linalg.svd(g, compute_uv=False)
+    sv[sv <= sv[0] * max(b, p) * np.finfo(float).eps] = 0.0
+    eig = np.zeros(p)
+    eig[:sv.size] = sv * sv / b
+    eig.sort()
     deciles = np.quantile(eig, [k / 10 for k in range(1, 10)], method="linear")
     return FisherSpectrum(tuple(eig[::-1]), tuple(float(d) for d in deciles))
 
@@ -218,7 +185,7 @@ def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
     batch = rng.child(1).normal((batch_size, *shape))
     u = rng.child(2).normal(shape.numel)
     u = u / np.linalg.norm(u)
-    return vkdnw_score(spectrum_of(block_gradients(block, store, batch, u), gradients=True))
+    return vkdnw_score(spectrum_of(block_gradients(block, store, batch, u)))
 
 
 def score_network(

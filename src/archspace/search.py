@@ -17,6 +17,7 @@ scored (it equals its parent).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from .cost import Budget
 from .errors import BudgetError
@@ -88,6 +89,19 @@ def _seed_state(seed_net: NetworkSpec, budget: Budget) -> CostState:
     return state
 
 
+def _steps(net: NetworkSpec, state: CostState, cfg: WalkConfig | EvoConfig, streams: Iterable[Rng]
+           ) -> Iterator[tuple[NetworkSpec, CostState, Edit | None]]:
+    """One propose/apply step per stream, in order, with cfg's budget and step
+    options.  Yields (net, state, edit) after each step; edit is None for a
+    NoOp step."""
+    for rng in streams:
+        edit = propose_step(net, SearchStepConfig(cfg.budget, rng, cfg.p_eliminate, cfg.n_try), state)
+        if edit is not None:
+            net = apply(net, edit)
+            state = state.after_edit(net, edit)
+        yield net, state, edit
+
+
 def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, SearchLog]:
     """cfg.steps sequential propose/apply steps; returns (final net, log)."""
     state = _seed_state(seed_net, cfg.budget)
@@ -95,13 +109,9 @@ def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, Se
     log = SearchLog()
     log.append(step=0, edit=None, params=state.total.params, flops=state.total.flops,
                op_flops=_op_flops_json(state))
+    streams = (root.child(1, step) for step in range(1, cfg.steps + 1))
     net = seed_net
-    for step in range(1, cfg.steps + 1):
-        step_cfg = SearchStepConfig(cfg.budget, root.child(1, step), cfg.p_eliminate, cfg.n_try)
-        edit = propose_step(net, step_cfg, state)
-        if edit is not None:
-            net = apply(net, edit)
-            state = state.after_edit(net, edit)
+    for step, (net, state, edit) in enumerate(_steps(seed_net, state, cfg, streams), 1):
         if step % cfg.record_every == 0 or step == cfg.steps:
             log.append(
                 step=step,
@@ -130,14 +140,9 @@ def replay_edits(seed_net: NetworkSpec, edits: list[Edit]) -> NetworkSpec:
 def _mutate_candidate(net: NetworkSpec, state: CostState, cfg: EvoConfig, rng: Rng
                       ) -> tuple[NetworkSpec, CostState, list[Edit]]:
     edits = []
-    for s in range(cfg.steps_per_candidate):
-        step_cfg = SearchStepConfig(cfg.budget, rng.child(s), cfg.p_eliminate, cfg.n_try)
-        edit = propose_step(net, step_cfg, state)
-        if edit is None:
-            continue
-        net = apply(net, edit)
-        state = state.after_edit(net, edit)
-        edits.append(edit)
+    for net, state, edit in _steps(net, state, cfg, (rng.child(s) for s in range(cfg.steps_per_candidate))):
+        if edit is not None:
+            edits.append(edit)
     return net, state, edits
 
 
@@ -156,16 +161,11 @@ def size_orthogonality_report(
     """
     import numpy as np
 
-    state = _seed_state(seed_net, budget)
     root = Rng(seed)
-    net = seed_net
+    streams = (root.child(1, step) for step in range(1, steps + 1))
+    walk = _steps(seed_net, _seed_state(seed_net, budget), WalkConfig(steps, budget, seed), streams)
     params_list, scores = [], []
-    for step in range(1, steps + 1):
-        step_cfg = SearchStepConfig(budget, root.child(1, step))
-        edit = propose_step(net, step_cfg, state)
-        if edit is not None:
-            net = apply(net, edit)
-            state = state.after_edit(net, edit)
+    for step, (net, state, _) in enumerate(walk, 1):
         if step % sample_every == 0:
             score = score_network(net, ProxyId.VKDNW, root.child(2, step),
                                   batch_size=batch_size)

@@ -4,8 +4,9 @@ report and logits of networks whose stage-leading op is each fusable conv
 (so its weights take the projection's input channels).
 
 The pins were recorded before the convolution geometry moved into one
-table; a deliberate change of these bytes updates them and is recorded in
-CHANGES.md.
+table, and the network logits again when GELU moved from scipy's erf to
+math.erf; a deliberate change of these bytes updates them and is recorded
+in CHANGES.md.
 """
 
 import hashlib
@@ -50,13 +51,13 @@ BLOCK_PINS = {
 
 NETWORK_PINS = {
     "conv1": ("d442c380a88356d0e7020b1277b11016dd90356a7028388640101e88c7204941",
-              "9c41932437b4fb366f06b0a8a5e5748f8378f7c054c630307ff04179979ff474"),
+              "f0903f8f6dcc8129302e558a535294fd5ddd1a86e3631ed5e5bff7d20c4a1ece"),
     "conv3": ("d62ae382096a66dc27b299dd52e113af579f86c217ff2b66c6c951f4edf9f398",
-              "0116e8de8a5e88c4b05fe5700f876491d83c11b7ee3f6c3013517b984d7a432f"),
+              "6e5a4453cf24e18cf1c2fcbd094edba9748466633b4b37327ec4cb7b2e7377cd"),
     "convexp4_convred4": ("8b70540aab1acb471813757999a820f294511fe23e7f0da5d06fae34afe57092",
-                          "6f81257a839fe5654f834c3c4fa26d7115c39c2d8b3fe8983005ca0b3d797f98"),
+                          "5e701d1d1aebe93e0ff3c0c8dfbb52398761ec94ecaae7f25add1fc526e3bdde"),
     "attention": ("ec6efc0c6ba836087a5901e82b3cbf45f4816532b8ba233cef7288b5f036abcb",
-                  "996974fb738ef1f13f50dc559ae2f64a5dbb6f573cd9f733c93512229fd0101a"),
+                  "7c16750cb79994ec0714687e0dbb3df89d2fd16d66895f8ee9c00d1e9d51e47c"),
 }
 
 

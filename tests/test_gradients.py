@@ -64,7 +64,7 @@ def assert_deciles_match_dense(g: np.ndarray):
     has exact zeros)."""
     dense = np.clip(np.linalg.eigvalsh(g.T @ g / g.shape[0]), 0.0, None)
     want = np.quantile(np.sort(dense), [k / 10 for k in range(1, 10)], method="linear")
-    got = np.array(spectrum_of(g, gradients=True).deciles)
+    got = np.array(spectrum_of(g).deciles)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * dense.max())
 
 
@@ -124,14 +124,14 @@ def test_row_chunks_do_not_change_gradients(monkeypatch):
 def test_gram_dual_pads_exact_zeros():
     rng = Rng(4)
     g = rng.normal((10, 150))
-    spec = spectrum_of(g, gradients=True)
+    spec = spectrum_of(g)
     assert len(spec.eigenvalues) == 150
     assert spec.eigenvalues[10:] == (0.0,) * 140
     assert spec.deciles == (0.0,) * 9   # P > 10 B: every decile is a padded zero
     # fewer parameters than samples: P eigenvalues, all from the singular values
-    small = spectrum_of(g[:, :4], gradients=True)
+    small = spectrum_of(g[:, :4])
     assert len(small.eigenvalues) == 4 and min(small.eigenvalues) > 0.0
-    assert spectrum_of(np.zeros((10, 0)), gradients=True).deciles == (0.0,) * 9
+    assert spectrum_of(np.zeros((10, 0))).deciles == (0.0,) * 9
 
 
 def test_gram_dual_zeroes_singular_values_past_the_rank():
@@ -140,7 +140,7 @@ def test_gram_dual_zeroes_singular_values_past_the_rank():
     rng = Rng(5)
     core = rng.normal((12, 3))
     g = core @ rng.normal((3, 30))
-    spec = spectrum_of(g, gradients=True)
+    spec = spectrum_of(g)
     assert len(spec.eigenvalues) == 30
     assert spec.eigenvalues[3:] == (0.0,) * 27
     top = np.linalg.svd(g, compute_uv=False)[:3] ** 2 / 12

@@ -1,10 +1,17 @@
 import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import archspace as a
 from archspace.graph import BlockGraph, GraphAssembler, INPUT, OUTPUT, infer_shapes
 from archspace.interpreter import (
+    erf,
     forward,
     forward_network,
     init_network_params,
@@ -12,6 +19,7 @@ from archspace.interpreter import (
     matmul1,
     matmul2,
     maxpool2d,
+    sigmoid,
 )
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, _template_parts
 from archspace.ops import OP_INFO, OpKind, Shape, op_cost, rel_pos_bias_table
@@ -272,3 +280,28 @@ def test_upsample_restores_coupled_spatial():
     store = init_params(blk, Rng(0))
     y = forward(blk, store, Rng(1).normal((2, 3, 5, 7)))
     assert y.shape == (2, 3, 5, 7)
+
+
+def test_erf_and_sigmoid_match_scipy_within_4_ulp():
+    special = pytest.importorskip("scipy.special")
+    x = Rng(0).normal(200_000, std=3.0)
+    for got, want in ((erf(x), special.erf(x)), (sigmoid(x), special.expit(x))):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want) / np.spacing(np.abs(want))) <= 4
+
+
+def test_sigmoid_saturates_exactly_without_warnings():
+    blk, _ = single_op_block(OpKind.SIGMOID, Shape(1, 1, 2))
+    x = np.array([-1000.0, 1000.0]).reshape(1, 1, 1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = forward(blk, init_params(blk, Rng(0)), x)
+    assert y.reshape(-1).tolist() == [0.0, 1.0]
+
+
+def test_import_loads_no_scipy():
+    src = Path(a.__file__).resolve().parent.parent
+    code = "import archspace, archspace.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import archspace as a
-from archspace.errors import TooManyParams
 from archspace.graph import GraphAssembler, INPUT, OUTPUT
 from archspace.interpreter import init_params
 from archspace.ops import OpKind, Shape
 from archspace.proxy import (
     FisherSpectrum,
     ProxyId,
-    block_fisher,
     fd_gradients,
     score_network,
     spectrum_of,
@@ -65,10 +63,10 @@ def test_bounds_under_fuzzed_spectra():
 def test_deciles_are_permutation_invariant():
     rng = Rng(7)
     eig = np.abs(rng.normal(40))
-    f1 = np.diag(eig)
     perm = eig[np.argsort(rng.normal(40))]
-    f2 = np.diag(perm)
-    assert spectrum_of(f1).deciles == pytest.approx(spectrum_of(f2).deciles, abs=0)
+    # G = diag(sqrt(eig)) has F = G^T G / 40 = diag(eig) / 40
+    g1, g2 = np.diag(np.sqrt(eig)), np.diag(np.sqrt(perm))
+    assert spectrum_of(g1).deciles == pytest.approx(spectrum_of(g2).deciles, abs=0)
 
 
 def _single_conv_block(c=1, h=3, w=3, extra=()):
@@ -121,10 +119,12 @@ def test_fisher_of_single_parameter_block_matches_mean_square():
     u = rng.normal(8)
     u /= np.linalg.norm(u)
     grads = fd_gradients(blk, store, batch, u)
-    fisher = block_fisher(blk, store, batch, u)
-    np.testing.assert_allclose(fisher, grads.T @ grads / 12, atol=1e-12)
+    fisher = grads.T @ grads / 12
+    np.testing.assert_allclose(np.diag(fisher), np.mean(grads * grads, axis=0), rtol=1e-12)
     eig = np.linalg.eigvalsh(fisher)
     assert eig.min() >= -1e-10
+    # the spectrum of G is the Fisher's, largest first
+    np.testing.assert_allclose(spectrum_of(grads).eigenvalues, eig[::-1], atol=1e-10 * eig.max())
 
 
 def test_fisher_is_psd_on_builder_block():
@@ -134,11 +134,12 @@ def test_fisher_is_psd_on_builder_block():
     batch = rng.normal((10, 4, 3, 3))
     u = rng.normal(36)
     u /= np.linalg.norm(u)
-    fisher = block_fisher(blk, store, batch, u)
+    grads = fd_gradients(blk, store, batch, u)
+    fisher = grads.T @ grads / 10
     assert np.linalg.eigvalsh(fisher).min() >= -1e-10
-    # scaling the Fisher leaves the decile entropy unchanged
-    s1 = vkdnw_score(spectrum_of(fisher))
-    s2 = vkdnw_score(spectrum_of(fisher * 17.3))
+    # scaling the Fisher (G by sqrt(17.3)) leaves the decile entropy unchanged
+    s1 = vkdnw_score(spectrum_of(grads))
+    s2 = vkdnw_score(spectrum_of(math.sqrt(17.3) * grads))
     assert abs(s1 - s2) < 1e-12
 
 
@@ -162,25 +163,10 @@ def test_negparams_is_negated_overhead_for_identity_config():
     assert score.value == -float(a.network_cost(spec).total.params)
 
 
-def test_too_many_params_raises():
-    g = GraphAssembler(Shape(32, 2, 2))
-    v = g.chain((INPUT, 0), OpKind.CONV1)  # 32*33 = 1056 scalars
-    g.wire(v, 0, OUTPUT, 0)
-    blk = g.finish()
-    store = init_params(blk, Rng(0))
-    rng = Rng(1)
-    batch = rng.normal((10, 32, 2, 2))
-    u = rng.normal(128)
-    with pytest.raises(TooManyParams):
-        block_fisher(blk, store, batch, u, fd_ceiling=100)
-
-
 def test_small_batch_rejected():
-    blk = _single_conv_block()
-    store = init_params(blk, Rng(0))
-    rng = Rng(1)
-    with pytest.raises(ValueError):
-        block_fisher(blk, store, rng.normal((4, 1, 3, 3)), rng.normal(9))
+    spec = a.make_network(2, (16, 16), (1,), (2,), 10, blocks=[_single_conv_block(c=2, h=2, w=2)])
+    with pytest.raises(ValueError, match="at least 10 samples"):
+        score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=4)
 
 
 def test_vkdnw_score_deterministic_and_thread_invariant():
