@@ -35,6 +35,13 @@ class NodeShapes(NamedTuple):
     out_shapes: tuple[Shape, ...]
 
 
+class Ports(NamedTuple):
+    """node -> its in edges and its out edges, each list in edge order."""
+
+    ins: dict[int, list[Edge]]
+    outs: dict[int, list[Edge]]
+
+
 @dataclass(frozen=True)
 class BlockGraph:
     input_shape: Shape
@@ -60,6 +67,17 @@ class BlockGraph:
         return None if nxt == OUTPUT else nxt
 
     @cached_property
+    def ports(self) -> Ports:
+        """The edge index, built in one pass over the edges and kept with the
+        block; every reader shares it, so none may modify it."""
+        ins: dict[int, list[Edge]] = {}
+        outs: dict[int, list[Edge]] = {}
+        for e in self.edges:
+            outs.setdefault(e.src, []).append(e)
+            ins.setdefault(e.dst, []).append(e)
+        return Ports(ins, outs)
+
+    @cached_property
     def digest(self) -> str:
         """Stable fingerprint of the labeled graph (ids, ops, edges, couples)."""
         payload = repr((
@@ -71,31 +89,24 @@ class BlockGraph:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _by_dst_port(edges: list[Edge]) -> list[Edge]:
+    return sorted(edges, key=lambda e: e.dst_port) if len(edges) > 1 else edges
+
+
 def in_adjacency(block: BlockGraph) -> dict[int, list[Edge]]:
-    """dst node -> in edges sorted by dst_port, built in one pass."""
-    adj: dict[int, list[Edge]] = {}
-    for e in block.edges:
-        adj.setdefault(e.dst, []).append(e)
-    for lst in adj.values():
-        lst.sort(key=lambda e: e.dst_port)
-    return adj
+    """dst node -> in edges sorted by dst_port, read off the edge index."""
+    return {v: list(_by_dst_port(lst)) for v, lst in block.ports.ins.items()}
 
 
 def successor_map(block: BlockGraph) -> dict[int, list[int]]:
-    """Interior node -> interior successors, one pass over the edges."""
-    succs: dict[int, list[int]] = {v: [] for v in block.ops}
-    for e in block.edges:
-        if e.src in succs and e.dst in succs:
-            succs[e.src].append(e.dst)
-    return succs
+    """Interior node -> interior successors, read off the edge index."""
+    outs, ops = block.ports.outs, block.ops
+    return {v: [e.dst for e in outs.get(v, ()) if e.dst in ops] for v in ops}
 
 
 def predecessor_map(block: BlockGraph) -> dict[int, list[int]]:
-    preds: dict[int, list[int]] = {v: [] for v in block.ops}
-    for e in block.edges:
-        if e.src in preds and e.dst in preds:
-            preds[e.dst].append(e.src)
-    return preds
+    ins, ops = block.ports.ins, block.ops
+    return {v: [e.src for e in ins.get(v, ()) if e.src in ops] for v in ops}
 
 
 def bfs_reachable(adj: dict[int, list[int]], start: int, stop_at: Optional[int] = None) -> set[int]:
@@ -117,13 +128,11 @@ def bfs_reachable(adj: dict[int, list[int]], start: int, stop_at: Optional[int] 
 
 def topo_order(block: BlockGraph) -> list[int]:
     """Interior node ids in deterministic topological order (ties by id)."""
-    indeg = {v: 0 for v in block.ops}
-    succs: dict[int, list[int]] = {v: [] for v in block.ops}
-    for e in block.edges:
-        if e.dst in indeg and e.src != INPUT:
-            if e.src in succs:
-                succs[e.src].append(e.dst)
-                indeg[e.dst] += 1
+    succs = successor_map(block)
+    indeg = dict.fromkeys(succs, 0)
+    for lst in succs.values():
+        for s in lst:
+            indeg[s] += 1
     ready = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
@@ -144,15 +153,21 @@ def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
 
     The virtual input appears with its single out shape and the virtual
     output with its single in shape, so the block's output shape can be
-    read off the OUTPUT entry.
+    read off the OUTPUT entry.  One topological order and the block's one
+    edge index (`BlockGraph.ports`) serve the whole inference.
     """
+    return _infer_in_order(block, topo_order(block))
+
+
+def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes]:
+    """infer_shapes along an order the caller has already computed."""
     producers: dict[tuple[int, int], Shape] = {(INPUT, 0): block.input_shape}
     result: dict[int, NodeShapes] = {INPUT: NodeShapes((), (block.input_shape,))}
-    in_adj = in_adjacency(block)
-    for v in topo_order(block):
+    in_edges = block.ports.ins
+    for v in order:
         op = block.ops[v]
         ins = []
-        for e in in_adj.get(v, ()):
+        for e in _by_dst_port(in_edges.get(v, [])):
             key = (e.src, e.src_port)
             if key not in producers:
                 raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
@@ -169,7 +184,7 @@ def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
         result[v] = NodeShapes(tuple(ins), outs)
         for port, s in enumerate(outs):
             producers[(v, port)] = s
-    out_in = in_adj.get(OUTPUT, [])
+    out_in = in_edges.get(OUTPUT, [])
     if len(out_in) != 1:
         raise GraphError(f"virtual output must have exactly one in edge, found {len(out_in)}")
     key = (out_in[0].src, out_in[0].src_port)
@@ -188,44 +203,54 @@ class ValidationReport:
         return not self.violations
 
 
+def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -> None:
+    """Ports 0..n_ports-1 of v on one side carry one edge each; ports holds
+    the port of each of v's edges on that side, in edge order."""
+    if ports == list(range(n_ports)):
+        return
+    counts: dict[int, int] = {}
+    for p in ports:
+        counts[p] = counts.get(p, 0) + 1
+    for p in range(n_ports):
+        n = counts.get(p, 0)
+        if n != 1:
+            bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
+    for p in counts:
+        if p >= n_ports:
+            bad.append(f"node {v} {kind} port {p} out of range")
+
+
 def _port_violations(block: BlockGraph) -> list[str]:
-    bad = []
-    seen_out: dict[tuple[int, int], int] = {}
-    seen_in: dict[tuple[int, int], int] = {}
-    for e in block.edges:
-        for v in (e.src, e.dst):
-            if v not in (INPUT, OUTPUT) and v not in block.ops:
-                bad.append(f"edge {tuple(e)} references unknown node {v}")
-        seen_out[(e.src, e.src_port)] = seen_out.get((e.src, e.src_port), 0) + 1
-        seen_in[(e.dst, e.dst_port)] = seen_in.get((e.dst, e.dst_port), 0) + 1
+    ops = block.ops
+    bad = [f"edge {tuple(e)} references unknown node {v}"
+           for e in block.edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
     if bad:
         return bad
-
-    def expect(counter, v, n_ports, kind):
-        for p in range(n_ports):
-            n = counter.get((v, p), 0)
-            if n != 1:
-                bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
-        for (node, p), n in counter.items():
-            if node == v and p >= n_ports:
-                bad.append(f"node {v} {kind} port {p} out of range")
-
-    expect(seen_out, INPUT, 1, "output")
-    expect(seen_in, OUTPUT, 1, "input")
-    if any(key[0] == INPUT for key in seen_in):
+    ins, outs = block.ports
+    _expect(bad, INPUT, [e.src_port for e in outs.get(INPUT, ())], 1, "output")
+    _expect(bad, OUTPUT, [e.dst_port for e in ins.get(OUTPUT, ())], 1, "input")
+    if INPUT in ins:
         bad.append("virtual input has incoming edges")
-    if any(key[0] == OUTPUT for key in seen_out):
+    if OUTPUT in outs:
         bad.append("virtual output has outgoing edges")
-    for v, op in block.ops.items():
+    for v, op in ops.items():
         info = OP_INFO[op]
-        expect(seen_in, v, info.in_arity, "input")
-        expect(seen_out, v, info.out_arity, "output")
+        _expect(bad, v, [e.dst_port for e in ins.get(v, ())], info.in_arity, "input")
+        _expect(bad, v, [e.src_port for e in outs.get(v, ())], info.out_arity, "output")
     return bad
 
 
-def _couples_violations(block: BlockGraph) -> list[str]:
+def _couples_violations(block: BlockGraph, order: list[int]) -> list[str]:
+    """Couple checks on an acyclic block with valid ports, given its topological order.
+
+    An edge never goes back in the order, so a directed path between a
+    pair can only start at the earlier node: one search from there answers
+    it, once per unordered pair.
+    """
     bad = []
+    position = {v: i for i, v in enumerate(order)}
     succs = successor_map(block)
+    joined: dict[tuple[int, int], bool] = {}
     for v, partners in block.couples.items():
         if v not in block.ops:
             bad.append(f"couples entry references dead node {v}")
@@ -236,7 +261,10 @@ def _couples_violations(block: BlockGraph) -> list[str]:
                 continue
             if v not in block.couples.get(p, ()):
                 bad.append(f"couple {v}->{p} is not symmetric")
-            if p not in bfs_reachable(succs, v, stop_at=p) and v not in bfs_reachable(succs, p, stop_at=v):
+            first, last = (v, p) if position[v] <= position[p] else (p, v)
+            if (first, last) not in joined:
+                joined[first, last] = last in bfs_reachable(succs, first, stop_at=last)
+            if not joined[first, last]:
                 bad.append(f"couple {v}<->{p}: no directed path between the pair")
     for v, op in block.ops.items():
         if op in COUPLED_ONLY and v not in block.couples:
@@ -245,17 +273,22 @@ def _couples_violations(block: BlockGraph) -> list[str]:
 
 
 def validate(block: BlockGraph) -> ValidationReport:
-    """All invariant violations as data; empty report iff the block is feasible."""
+    """All invariant violations as data; empty report iff the block is feasible.
+
+    One edge index (`BlockGraph.ports`) serves the port check, the
+    topological order, the couple check and shape inference, and the order
+    is computed once.  Shapes are inferred from the block itself.
+    """
     bad = _port_violations(block)
     if bad:
         return ValidationReport(tuple(bad))
     try:
-        topo_order(block)
+        order = topo_order(block)
     except CycleDetected as exc:
         return ValidationReport((f"cycle: {exc}",))
-    bad.extend(_couples_violations(block))
+    bad.extend(_couples_violations(block, order))
     try:
-        shapes = infer_shapes(block)
+        shapes = _infer_in_order(block, order)
     except GraphError as exc:
         bad.append(f"shape inference failed: {exc}")
         return ValidationReport(tuple(bad))

@@ -259,14 +259,25 @@ def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:
     return spec.with_block(edit.block_index, apply_block_edit(spec.blocks[edit.block_index], edit))
 
 
-def template_node_shapes(name: str, shape: Shape, ids: tuple[int, ...]) -> dict[int, NodeShapes]:
-    """Inferred shapes of the template's nodes when spliced into an edge of `shape`."""
+@functools.lru_cache(maxsize=1024)
+def _template_shapes(name: str, shape: Shape) -> tuple[NodeShapes, ...]:
+    # Shapes by template position: a pure function of (name, shape), asked on
+    # every add try, while a walk meets few shapes.  Errors are not cached.
     scratch = BlockGraph.identity(shape)
+    ids = tuple(range(scratch.next_id, scratch.next_id + len(TEMPLATES[name].ops)))
     edit = Edit("add", 0, INPUT, scratch.digest, template=name,
                 cut_edge=Edge(INPUT, 0, OUTPUT, 0), new_ids=ids)
-    spliced = apply_block_edit(scratch, edit)
-    shapes = infer_shapes(spliced)
-    return {v: shapes[v] for v in ids}
+    shapes = infer_shapes(apply_block_edit(scratch, edit))
+    return tuple(shapes[v] for v in ids)
+
+
+def template_node_shapes(name: str, shape: Shape, ids: tuple[int, ...]) -> dict[int, NodeShapes]:
+    """Inferred shapes of the template's nodes when spliced into an edge of `shape`,
+    read from a memo by template position and relabelled to `ids`."""
+    if (name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops)
+            or len(set(ids) - {INPUT, OUTPUT}) != len(ids)):
+        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
+    return dict(zip(ids, _template_shapes(name, shape)))
 
 
 class EditPatch(NamedTuple):

@@ -4,14 +4,26 @@ Everything here is deliberately written with plain loops (or hand-rolled
 linear algebra) and never calls into the interpreter's execution path.
 """
 
+import heapq
 import math
 import re
 
 import numpy as np
 
 import archspace as a
-from archspace.graph import topo_order
-from archspace.ops import OpKind
+from archspace.errors import CycleDetected, GraphError
+from archspace.graph import (
+    INPUT,
+    OUTPUT,
+    BlockGraph,
+    Edge,
+    NodeShapes,
+    ValidationReport,
+    bfs_reachable,
+    topo_order,
+)
+from archspace.mutation import Edit, apply_block_edit
+from archspace.ops import COUPLED_ONLY, OP_INFO, OpKind, transfer
 
 
 def matmul1_loops(x, y):
@@ -137,3 +149,159 @@ def fuzz_network(seed, steps=15, budget=None):
     cfg = a.WalkConfig(steps=steps, budget=budget, seed=seed, p_eliminate=0.4)
     net, _ = a.random_walk(spec, cfg)
     return net
+
+
+# --- block validation as it was before the shared edge index ----------------
+#
+# Counters over (node, port) keys scanned once per node, two BFS runs per
+# couple entry, and topological sort and shape inference that each read
+# block.edges on their own.
+
+
+def topo_order_oracle(block):
+    indeg = {v: 0 for v in block.ops}
+    succs = {v: [] for v in block.ops}
+    for e in block.edges:
+        if e.dst in indeg and e.src != INPUT:
+            if e.src in succs:
+                succs[e.src].append(e.dst)
+                indeg[e.dst] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for s in succs[v]:
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                heapq.heappush(ready, s)
+    if len(order) != len(block.ops):
+        raise CycleDetected(f"{len(block.ops) - len(order)} nodes unreachable from a cycle-free order")
+    return order
+
+
+def infer_shapes_oracle(block):
+    producers = {(INPUT, 0): block.input_shape}
+    result = {INPUT: NodeShapes((), (block.input_shape,))}
+    in_adj = {}
+    for e in block.edges:
+        in_adj.setdefault(e.dst, []).append(e)
+    for lst in in_adj.values():
+        lst.sort(key=lambda e: e.dst_port)
+    for v in topo_order_oracle(block):
+        op = block.ops[v]
+        ins = []
+        for e in in_adj.get(v, ()):
+            key = (e.src, e.src_port)
+            if key not in producers:
+                raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
+            ins.append(producers[key])
+        target = None
+        if op is OpKind.UP_SAMPLE:
+            partners = block.couples.get(v, ())
+            gavg = next((p for p in partners if block.ops.get(p) is OpKind.GLOBAL_AVG), None)
+            if gavg is None or gavg not in result:
+                raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
+            src = result[gavg].in_shapes[0]
+            target = (src.h, src.w)
+        outs = transfer(op, ins, node=v, upsample_target=target)
+        result[v] = NodeShapes(tuple(ins), outs)
+        for port, s in enumerate(outs):
+            producers[(v, port)] = s
+    out_in = in_adj.get(OUTPUT, [])
+    if len(out_in) != 1:
+        raise GraphError(f"virtual output must have exactly one in edge, found {len(out_in)}")
+    key = (out_in[0].src, out_in[0].src_port)
+    if key not in producers:
+        raise GraphError(f"virtual output fed by unresolved {key}")
+    result[OUTPUT] = NodeShapes((producers[key],), ())
+    return result
+
+
+def _port_violations_oracle(block):
+    bad = []
+    seen_out = {}
+    seen_in = {}
+    for e in block.edges:
+        for v in (e.src, e.dst):
+            if v not in (INPUT, OUTPUT) and v not in block.ops:
+                bad.append(f"edge {tuple(e)} references unknown node {v}")
+        seen_out[(e.src, e.src_port)] = seen_out.get((e.src, e.src_port), 0) + 1
+        seen_in[(e.dst, e.dst_port)] = seen_in.get((e.dst, e.dst_port), 0) + 1
+    if bad:
+        return bad
+
+    def expect(counter, v, n_ports, kind):
+        for p in range(n_ports):
+            n = counter.get((v, p), 0)
+            if n != 1:
+                bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
+        for (node, p), n in counter.items():
+            if node == v and p >= n_ports:
+                bad.append(f"node {v} {kind} port {p} out of range")
+
+    expect(seen_out, INPUT, 1, "output")
+    expect(seen_in, OUTPUT, 1, "input")
+    if any(key[0] == INPUT for key in seen_in):
+        bad.append("virtual input has incoming edges")
+    if any(key[0] == OUTPUT for key in seen_out):
+        bad.append("virtual output has outgoing edges")
+    for v, op in block.ops.items():
+        info = OP_INFO[op]
+        expect(seen_in, v, info.in_arity, "input")
+        expect(seen_out, v, info.out_arity, "output")
+    return bad
+
+
+def _couples_violations_oracle(block):
+    bad = []
+    succs = {v: [] for v in block.ops}
+    for e in block.edges:
+        if e.src in succs and e.dst in succs:
+            succs[e.src].append(e.dst)
+    for v, partners in block.couples.items():
+        if v not in block.ops:
+            bad.append(f"couples entry references dead node {v}")
+            continue
+        for p in partners:
+            if p not in block.ops:
+                bad.append(f"couple {v}<->{p}: dead partner")
+                continue
+            if v not in block.couples.get(p, ()):
+                bad.append(f"couple {v}->{p} is not symmetric")
+            if p not in bfs_reachable(succs, v, stop_at=p) and v not in bfs_reachable(succs, p, stop_at=v):
+                bad.append(f"couple {v}<->{p}: no directed path between the pair")
+    for v, op in block.ops.items():
+        if op in COUPLED_ONLY and v not in block.couples:
+            bad.append(f"node {v} ({op.value}) changes dimensions/fan-out but has no couple")
+    return bad
+
+
+def validate_oracle(block):
+    bad = _port_violations_oracle(block)
+    if bad:
+        return ValidationReport(tuple(bad))
+    try:
+        topo_order_oracle(block)
+    except CycleDetected as exc:
+        return ValidationReport((f"cycle: {exc}",))
+    bad.extend(_couples_violations_oracle(block))
+    try:
+        shapes = infer_shapes_oracle(block)
+    except GraphError as exc:
+        bad.append(f"shape inference failed: {exc}")
+        return ValidationReport(tuple(bad))
+    out_shape = shapes[OUTPUT].in_shapes[0]
+    if out_shape != block.input_shape:
+        bad.append(f"block output shape {out_shape} != input shape {block.input_shape}")
+    return ValidationReport(tuple(bad))
+
+
+def template_node_shapes_oracle(name, shape, ids):
+    """Splice the template into a scratch identity block and infer it whole."""
+    scratch = BlockGraph.identity(shape)
+    edit = Edit("add", 0, INPUT, scratch.digest, template=name,
+                cut_edge=Edge(INPUT, 0, OUTPUT, 0), new_ids=ids)
+    shapes = infer_shapes_oracle(apply_block_edit(scratch, edit))
+    return {v: shapes[v] for v in ids}

@@ -1,6 +1,7 @@
 import pytest
 
 import archspace as a
+from archspace import graph
 from archspace.errors import AssemblyError, DivisibilityViolation, NonSquareSpatial
 from archspace.graph import (
     INPUT,
@@ -174,3 +175,16 @@ def test_assembly_error_names_the_block_once():
         a.assemble_network(spec)
     assert exc.value.block_index == 0
     assert str(exc.value).startswith("block 0: node 2") and str(exc.value).count("block 0:") == 1
+
+
+def test_validate_sorts_topologically_once(monkeypatch):
+    blk = a.build("attention2h", Shape(8, 4, 4))
+    calls = []
+
+    def counted(block):
+        calls.append(block)
+        return topo_order(block)
+
+    monkeypatch.setattr(graph, "topo_order", counted)
+    assert validate(blk).ok
+    assert len(calls) == 1

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import archspace as a
-from archspace.errors import StaleEdit
+from archspace.errors import ArchSpaceError, InfeasibleEdit, StaleEdit
 from archspace.graph import (
     Edge,
     GraphAssembler,
     INPUT,
     OUTPUT,
+    infer_shapes,
     same_graph,
     validate,
 )
@@ -22,9 +25,12 @@ from archspace.mutation import (
     propose_step,
     rule_violations,
     template_feasible,
+    template_node_shapes,
 )
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
+
+from _oracles import template_node_shapes_oracle
 
 
 def residual_with_conv1(shape=Shape(4, 3, 3)):
@@ -211,3 +217,61 @@ def test_rules_cover_every_template_feasibility():
     assert not template_feasible("relposbias", Shape(4, 8, 4))
     assert template_feasible("relposbias", Shape(4, 9, 4))
     assert template_feasible("attention", Shape(1, 1, 1))
+
+
+def _shapes_or_error(fn, name, shape, ids):
+    try:
+        return fn(name, shape, ids)
+    except Exception as exc:
+        return type(exc)
+
+
+def test_template_shape_memo_matches_scratch_splice():
+    grid = [Shape(c, h, w) for c in range(1, 25) for h in (1, 2, 3, 4, 5, 9, 16)
+            for w in (1, 2, 3, 4, 5, 9, 16)]
+    infeasible = 0
+    for name, t in TEMPLATES.items():
+        n = len(t.ops)
+        for ids, shapes in (((17, 40, 41, 99)[:n], grid),
+                            (tuple(range(2, 2 + n)), grid[::7]),
+                            (tuple(range(500 + n, 500, -1)), grid[::7])):
+            for shape in shapes:
+                got = _shapes_or_error(template_node_shapes, name, shape, ids)
+                assert got == _shapes_or_error(template_node_shapes_oracle, name, shape, ids), (name, shape, ids)
+                infeasible += isinstance(got, type)
+        for ids in ((), tuple(range(2, 3 + n))):
+            for shape in (Shape(6, 4, 4), Shape(5, 3, 2)):
+                assert _shapes_or_error(template_node_shapes, name, shape, ids) is InfeasibleEdit
+                assert _shapes_or_error(template_node_shapes_oracle, name, shape, ids) is InfeasibleEdit
+        # Ids the template cannot take: a virtual node's id, or one id twice.
+        repeated = [(7,) * n] if n > 1 else []
+        for ids in [(INPUT, *range(2, 1 + n)), (*range(2, 1 + n), OUTPUT), *repeated]:
+            assert _shapes_or_error(template_node_shapes, name, Shape(6, 4, 4), ids) is InfeasibleEdit
+            assert issubclass(_shapes_or_error(template_node_shapes_oracle, name, Shape(6, 4, 4), ids),
+                              ArchSpaceError)
+    assert infeasible > 0
+    with pytest.raises(InfeasibleEdit):
+        template_node_shapes("nope", Shape(6, 4, 4), (2,))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p_eliminate=st.floats(0.0, 1.0))
+def test_ledger_matches_recomputation_after_random_edits(seed, p_eliminate):
+    blocks = [
+        a.build("mbconv4", Shape(24, 4, 4)),
+        a.build("attention2h", Shape(24, 4, 4)),
+        a.build("resnet_basic", Shape(48, 2, 2)),
+        a.build("identity", Shape(48, 2, 2)),
+    ]
+    net = a.make_network(12, (32, 32), (2, 2), (24, 48), 10, blocks=blocks)
+    budget = a.Budget(50_000, 250_000, 1_000_000, 20_000_000)
+    state = CostState.from_spec(net)
+    root = Rng(seed)
+    for step in range(1, 201):
+        edit = propose_step(net, SearchStepConfig(budget, root.child(step), p_eliminate), state)
+        if edit is not None:
+            net = apply(net, edit)
+            state = state.after_edit(net, edit)
+    assert state.total == a.network_cost(net).total
+    for bi, block in enumerate(net.blocks):
+        assert state.shapes[bi] == infer_shapes(block)
