@@ -27,7 +27,7 @@ from .proxy import DEFAULT_BATCH, MIN_BATCH, ProxyId, score_network
 from .rng import Rng
 from .search import EvoConfig, SearchLog, WalkConfig, random_walk, replay_edits
 from .search import evolve as run_evolve
-from .serialize import parse_document, serialize
+from .serialize import canonical_json, parse_document, serialize
 
 
 def _parse_budget(text: str) -> Budget:
@@ -72,7 +72,7 @@ def _write_out(data: str | bytes, out: str | None) -> None:
 
 
 def _emit_json(obj: dict, out: str | None) -> None:
-    _write_out(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n", out)
+    _write_out(canonical_json(obj), out)
 
 
 def _cmd_build(args) -> int:

@@ -14,7 +14,7 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import CycleDetected, GraphError
 from .ops import COUPLED_ONLY, OP_INFO, OpKind, Shape, transfer
@@ -56,7 +56,7 @@ class BlockGraph:
         return BlockGraph(shape, {}, (Edge(INPUT, 0, OUTPUT, 0),), {})
 
     def out_edges(self, v: int) -> list[Edge]:
-        return sorted((e for e in self.edges if e.src == v), key=lambda e: e.src_port)
+        return sorted(self.ports.outs.get(v, ()), key=lambda e: e.src_port)
 
     def first_interior(self) -> Optional[int]:
         """The unique successor of the virtual input; None for identity blocks."""
@@ -93,11 +93,6 @@ def _by_dst_port(edges: list[Edge]) -> list[Edge]:
     return sorted(edges, key=lambda e: e.dst_port) if len(edges) > 1 else edges
 
 
-def in_adjacency(block: BlockGraph) -> dict[int, list[Edge]]:
-    """dst node -> in edges sorted by dst_port, read off the edge index."""
-    return {v: list(_by_dst_port(lst)) for v, lst in block.ports.ins.items()}
-
-
 def successor_map(block: BlockGraph) -> dict[int, list[int]]:
     """Interior node -> interior successors, read off the edge index."""
     outs, ops = block.ports.outs, block.ops
@@ -109,10 +104,11 @@ def predecessor_map(block: BlockGraph) -> dict[int, list[int]]:
     return {v: [e.src for e in ins.get(v, ()) if e.src in ops] for v in ops}
 
 
-def bfs_reachable(adj: dict[int, list[int]], start: int, stop_at: Optional[int] = None) -> set[int]:
-    """Nodes reachable from start (excl. start); early exit once stop_at is seen."""
+def bfs_reachable(adj: dict[int, list[int]], starts: Iterable[int], stop_at: Optional[int] = None) -> set[int]:
+    """Nodes reachable from any of starts by one edge or more (a start only if
+    another start or a cycle reaches it); early exit once stop_at is seen."""
     seen: set[int] = set()
-    frontier = [start]
+    frontier = list(starts)
     while frontier:
         nxt = []
         for v in frontier:
@@ -263,7 +259,7 @@ def _couples_violations(block: BlockGraph, order: list[int]) -> list[str]:
                 bad.append(f"couple {v}->{p} is not symmetric")
             first, last = (v, p) if position[v] <= position[p] else (p, v)
             if (first, last) not in joined:
-                joined[first, last] = last in bfs_reachable(succs, first, stop_at=last)
+                joined[first, last] = last in bfs_reachable(succs, (first,), stop_at=last)
             if not joined[first, last]:
                 bad.append(f"couple {v}<->{p}: no directed path between the pair")
     for v, op in block.ops.items():

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph import BlockGraph, INPUT, OUTPUT, in_adjacency, infer_shapes, topo_order
+from .graph import BlockGraph, INPUT, OUTPUT, _by_dst_port, infer_shapes, topo_order
 from .network import ExecutablePlan
 from .ops import CONV, DEPTHWISE, OP_INFO, OpKind, Shape, rel_pos_bias_table
 from .rng import Rng
@@ -249,10 +249,10 @@ def _run(block, params, x, entry_in_channels=None):
 
     produced: dict[tuple[int, int], np.ndarray] = {(INPUT, 0): x}
     gavg_spatial: dict[int, tuple[int, int]] = {}
-    in_adj = in_adjacency(block)
+    in_edges = block.ports.ins
     for v in topo_order(block):
         op = block.ops[v]
-        ins = [produced[(e.src, e.src_port)] for e in in_adj.get(v, ())]
+        ins = [produced[(e.src, e.src_port)] for e in _by_dst_port(in_edges.get(v, []))]
         if op is OpKind.GLOBAL_AVG:
             gavg_spatial[v] = ins[0].shape[2:]
         if op is OpKind.UP_SAMPLE:
@@ -264,7 +264,7 @@ def _run(block, params, x, entry_in_channels=None):
             outs = _exec_node(op, ins, params.tensors.get(v, {}))
         for port, arr in enumerate(outs):
             produced[(v, port)] = arr
-    out_edge = in_adj[OUTPUT][0]
+    out_edge = in_edges[OUTPUT][0]
     produced[(OUTPUT, 0)] = produced[(out_edge.src, out_edge.src_port)]
     return produced
 
@@ -516,14 +516,14 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
     block = tape.block
     n = tape.values[(INPUT, 0)].shape[0]
     rows = ct.shape[0]
-    in_adj = in_adjacency(block)
+    in_edges = block.ports.ins
     order = topo_order(block)
     # Nodes with a parameter at or above them; no other node needs a cotangent.
     needs: set[int] = set()
     for v in order:
-        if OP_INFO[block.ops[v]].parameterized or any(e.src in needs for e in in_adj.get(v, ())):
+        if OP_INFO[block.ops[v]].parameterized or any(e.src in needs for e in in_edges.get(v, ())):
             needs.add(v)
-    out_edge = in_adj[OUTPUT][0]
+    out_edge = in_edges[OUTPUT][0]
     # Every port feeds exactly one edge, so each cotangent arrives once.
     pending: dict[tuple[int, int], np.ndarray] = {(out_edge.src, out_edge.src_port): ct}
     grads: dict[int, dict[str, np.ndarray]] = {}
@@ -540,7 +540,7 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
         else:
             align = lambda a: a[start:start + rows, None]  # noqa: E731
         outs = [tape.values[(v, p)] for p in ports]
-        edges = in_adj[v]
+        edges = _by_dst_port(in_edges[v])
         ins = [tape.values[(e.src, e.src_port)] for e in edges]
         want = [e.src in needs for e in edges]
         gins, node_grads = _vjp_node(tape, v, op, gs, ins, outs,

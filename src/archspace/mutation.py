@@ -144,6 +144,10 @@ class Edit:
     def from_json(d: dict) -> "Edit":
         """FormatError, KeyError or TypeError for a missing or mistyped field."""
         block, anchor = json_int(d["block"], "edit block"), json_int(d["anchor"], "edit anchor")
+        if d["kind"] not in ("add", "eliminate"):
+            raise FormatError(f"edit kind must be \"add\" or \"eliminate\", got {d['kind']!r}")
+        if not isinstance(d["digest"], str):
+            raise FormatError(f"edit digest must be a JSON string, got {d['digest']!r}")
         if d["kind"] == "add":
             if not isinstance(d["template"], str):
                 raise FormatError(f"edit template must be a JSON string, got {d['template']!r}")
@@ -172,8 +176,10 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
     """The doomed node set for eliminating v.
 
     A lone shape-preserving node dooms only itself.  A coupled node dooms
-    its whole couple group plus every node on any directed path between
+    its whole couple group plus every node on a directed path between two
     group members, iterated to a fixpoint so nested couples stay intact.
+    In a DAG those are the nodes both reachable from the group and reaching
+    it: one forward and one backward search from the whole group a round.
     """
     if v not in block.ops:
         raise InfeasibleEdit(f"node {v} is not an interior node")
@@ -185,14 +191,8 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
     preds = predecessor_map(block)
     doomed = {v, *block.couples[v]}
     while True:
-        grown = set(doomed)
-        for u in doomed:
-            grown |= set(block.couples.get(u, ()))
-        for a in list(grown):
-            desc_a = bfs_reachable(succs, a)
-            for b in list(grown):
-                if a != b and b in desc_a:
-                    grown |= desc_a & bfs_reachable(preds, b)
+        grown = doomed.union(*(block.couples.get(u, ()) for u in doomed))
+        grown |= bfs_reachable(succs, grown) & bfs_reachable(preds, grown)
         if grown == doomed:
             return frozenset(doomed)
         doomed = grown
@@ -200,8 +200,9 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
 
 def _excise_boundary(block: BlockGraph, doomed: frozenset[int]) -> tuple[Edge, Edge]:
     """Unique entry and exit edges of the doomed set; InfeasibleEdit otherwise."""
-    entries = [e for e in block.edges if e.src not in doomed and e.dst in doomed]
-    exits = [e for e in block.edges if e.src in doomed and e.dst not in doomed]
+    ins, outs = block.ports
+    entries = [e for v in doomed for e in ins.get(v, ()) if e.src not in doomed]
+    exits = [e for v in doomed for e in outs.get(v, ()) if e.dst not in doomed]
     if len(entries) != 1 or len(exits) != 1:
         raise InfeasibleEdit(
             f"doomed set has {len(entries)} entry / {len(exits)} exit edges (want 1/1)"
@@ -213,7 +214,7 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
     if edit.block_digest != block.digest:
         raise StaleEdit("edit was proposed against a different block state")
     if edit.kind == "add":
-        if edit.cut_edge not in block.edges:
+        if edit.cut_edge not in block.ports.outs.get(edit.cut_edge.src, ()):
             raise InfeasibleEdit(f"cut edge {edit.cut_edge} not present")
         for i in edit.new_ids:
             if i in block.ops or i in (INPUT, OUTPUT):

@@ -1,9 +1,9 @@
 """Deterministic random streams.
 
-All randomness in the package flows through :class:`Rng`, a thin wrapper
-around the counter-based Philox4x64 bit generator.  Only the raw 64-bit
-stream of the bit generator is consumed; uniform and normal variates are
-derived from it explicitly (53-bit mantissa scaling, Box-Muller), so the
+All randomness in the package flows through :class:`Rng`, a bare keyed
+stream of the counter-based Philox4x64 bit generator.  Only its raw 64-bit
+words are consumed, in counter order; uniform and normal variates are
+derived from them explicitly (53-bit mantissa scaling, Box-Muller), so the
 byte content of every sample is a pure function of (seed, call sequence)
 and does not depend on numpy's Generator distribution internals.
 
@@ -19,8 +19,6 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BUFFER_MIN = 64
-_BUFFER_MAX = 4096
 
 
 def _splitmix64(x: int) -> int:
@@ -31,15 +29,12 @@ def _splitmix64(x: int) -> int:
 
 
 class Rng:
-    """Seeded Philox4x64 raw stream with explicit float conversions."""
+    """Keyed Philox4x64 raw stream, read in counter order by draws of any size."""
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
         self._bg = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._chunk = _BUFFER_MIN
 
     def child(self, *indices: int) -> "Rng":
         """Derive an independent stream keyed by the index path."""
@@ -48,28 +43,8 @@ class Rng:
             s = _splitmix64(s ^ _splitmix64((i & _MASK64) ^ 0xA5A5DEADBEEF5A5A))
         return Rng(self.seed, s)
 
-    def _raw(self, n: int) -> np.ndarray:
-        # Serve from the buffer; fetch large remainders in one call and grow
-        # the buffer chunk gradually so short-lived streams stay cheap.
-        out = np.empty(n, dtype=np.uint64)
-        filled = 0
-        while filled < n:
-            if self._pos >= len(self._buf):
-                need = n - filled
-                if need >= self._chunk:
-                    out[filled:] = self._bg.random_raw(need)
-                    return out
-                self._buf = self._bg.random_raw(self._chunk)
-                self._pos = 0
-                self._chunk = min(self._chunk * 4, _BUFFER_MAX)
-            take = min(n - filled, len(self._buf) - self._pos)
-            out[filled:filled + take] = self._buf[self._pos:self._pos + take]
-            self._pos += take
-            filled += take
-        return out
-
     def next_u64(self) -> int:
-        return int(self._raw(1)[0])
+        return int(self._bg.random_raw())
 
     def uniform(self) -> float:
         """One float in [0, 1)."""
@@ -90,13 +65,11 @@ class Rng:
         if std < 0:
             raise ValueError("std must be >= 0")
         dims = tuple(shape) if not isinstance(shape, int) else (shape,)
-        total = 1
-        for d in dims:
-            total *= int(d)
+        total = math.prod(int(d) for d in dims)
         pairs = (total + 1) // 2
         # u1 in (0, 1] keeps log finite; u2 in [0, 1).
-        u1 = ((self._raw(pairs) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
-        u2 = (self._raw(pairs) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        u1 = ((self._bg.random_raw(pairs) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0 ** -53
+        u2 = (self._bg.random_raw(pairs) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
         z = np.empty(2 * pairs, dtype=np.float64)

@@ -25,6 +25,7 @@ from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
 from .network import NetworkSpec, assemble_network
 from .proxy import DEFAULT_BATCH, ProxyId, score_network
 from .rng import Rng
+from .serialize import canonical_json
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class SearchLog:
         return out
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in self.records)
+        return "".join(canonical_json(r) for r in self.records)
 
     @staticmethod
     def from_jsonl(text: str) -> "SearchLog":

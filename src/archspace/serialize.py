@@ -80,12 +80,14 @@ def to_document(spec: NetworkSpec) -> dict:
     }
 
 
-def document_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every document, report and log line the
+    package writes: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def serialize(spec: NetworkSpec) -> bytes:
-    return document_bytes(to_document(spec))
+    return canonical_json(to_document(spec)).encode()
 
 
 def parse_document(data) -> NetworkSpec:

@@ -11,7 +11,7 @@ import re
 import numpy as np
 
 import archspace as a
-from archspace.errors import CycleDetected, GraphError
+from archspace.errors import CycleDetected, GraphError, InfeasibleEdit
 from archspace.graph import (
     INPUT,
     OUTPUT,
@@ -20,6 +20,8 @@ from archspace.graph import (
     NodeShapes,
     ValidationReport,
     bfs_reachable,
+    predecessor_map,
+    successor_map,
     topo_order,
 )
 from archspace.mutation import Edit, apply_block_edit
@@ -270,7 +272,7 @@ def _couples_violations_oracle(block):
                 continue
             if v not in block.couples.get(p, ()):
                 bad.append(f"couple {v}->{p} is not symmetric")
-            if p not in bfs_reachable(succs, v, stop_at=p) and v not in bfs_reachable(succs, p, stop_at=v):
+            if p not in bfs_reachable(succs, (v,), stop_at=p) and v not in bfs_reachable(succs, (p,), stop_at=v):
                 bad.append(f"couple {v}<->{p}: no directed path between the pair")
     for v, op in block.ops.items():
         if op in COUPLED_ONLY and v not in block.couples:
@@ -305,3 +307,44 @@ def template_node_shapes_oracle(name, shape, ids):
                 cut_edge=Edge(INPUT, 0, OUTPUT, 0), new_ids=ids)
     shapes = infer_shapes_oracle(apply_block_edit(scratch, edit))
     return {v: shapes[v] for v in ids}
+
+
+def minimal_coupled_subgraph_oracle(block, v):
+    """The doomed set by one search per ordered pair of group members: every
+    node reachable from a and reaching b, for each b reachable from a."""
+    if v not in block.ops:
+        raise InfeasibleEdit(f"node {v} is not an interior node")
+    if v not in block.couples:
+        if not OP_INFO[block.ops[v]].preserves_shape:
+            raise InfeasibleEdit(f"node {v} ({block.ops[v].value}) changes shape but has no couple")
+        return frozenset({v})
+    succs = successor_map(block)
+    preds = predecessor_map(block)
+    doomed = {v, *block.couples[v]}
+    while True:
+        grown = set(doomed)
+        for u in doomed:
+            grown |= set(block.couples.get(u, ()))
+        for a in list(grown):
+            desc_a = bfs_reachable(succs, (a,))
+            for b in list(grown):
+                if a != b and b in desc_a:
+                    grown |= desc_a & bfs_reachable(preds, (b,))
+        if grown == doomed:
+            return frozenset(doomed)
+        doomed = grown
+
+
+def excise_boundary_oracle(block, doomed):
+    """Entry and exit edges of the doomed set, by two scans of the edge list."""
+    entries = [e for e in block.edges if e.src not in doomed and e.dst in doomed]
+    exits = [e for e in block.edges if e.src in doomed and e.dst not in doomed]
+    if len(entries) != 1 or len(exits) != 1:
+        raise InfeasibleEdit(
+            f"doomed set has {len(entries)} entry / {len(exits)} exit edges (want 1/1)"
+        )
+    return entries[0], exits[0]
+
+
+def out_edges_oracle(block, v):
+    return sorted((e for e in block.edges if e.src == v), key=lambda e: e.src_port)

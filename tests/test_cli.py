@@ -162,6 +162,10 @@ def test_exit_codes(tmp_path, capsys):
                   if json.loads(line)["edit"] is not None)
     null_anchor = tmp_path / "null_anchor.jsonl"
     null_anchor.write_text(json.dumps({**record, "edit": {**record["edit"], "anchor": None}}) + "\n")
+    bogus_kind = tmp_path / "bogus_kind.jsonl"
+    bogus_kind.write_text(json.dumps({**record, "edit": {**record["edit"], "kind": "bogus"}}) + "\n")
+    int_digest = tmp_path / "int_digest.jsonl"
+    int_digest.write_text(json.dumps({**record, "edit": {**record["edit"], "digest": 7}}) + "\n")
     del record["edit"]["block"]
     headless = tmp_path / "headless.jsonl"
     headless.write_text(json.dumps(record) + "\n")
@@ -189,6 +193,8 @@ def test_exit_codes(tmp_path, capsys):
         (("search", str(net), "--population", "0", "--proxy", "negflops"), "--population"),
         (("replay", str(net), "--log", str(headless)), "block"),
         (("replay", str(net), "--log", str(null_anchor)), "anchor"),
+        (("replay", str(net), "--log", str(bogus_kind)), "edit kind"),
+        (("replay", str(net), "--log", str(int_digest)), "edit digest"),
         (("validate", str(bad_docs["float"])), "input_resolution"),
         (("validate", str(bad_docs["null_couples"])), "malformed block"),
         (("cost", str(bad_docs["short_spatial"])), "spatial"),

@@ -166,6 +166,16 @@ def test_apply_rejects_stale_edit(desk_spec, desk_budget):
         apply(mutated, edit)
 
 
+def test_apply_rejects_an_absent_cut_edge(desk_spec):
+    blk = desk_spec.blocks[0]
+    e = blk.out_edges(INPUT)[0]
+    for cut in (e._replace(dst_port=1), e._replace(src_port=1), e._replace(dst=OUTPUT),
+                e._replace(src=blk.next_id + 5)):
+        edit = Edit("add", 0, INPUT, blk.digest, template="gelu", cut_edge=cut, new_ids=(blk.next_id,))
+        with pytest.raises(InfeasibleEdit, match="not present"):
+            apply_block_edit(blk, edit)
+
+
 def test_walk_preserves_validity_budget_and_rules(desk_spec, desk_budget):
     state = CostState.from_spec(desk_spec)
     root = Rng(77)

@@ -57,3 +57,63 @@ def test_normal_moments_are_sane():
     assert abs(z.std() - 1.0) < 0.02
     z2 = Rng(123).normal((10, 10), mean=3.0, std=0.5)
     assert abs(z2.mean() - 3.0) < 0.5
+
+
+class _BarePhilox:
+    """The documented stream: the key's raw Philox words, drawn up front in one
+    call and read in order, with the conversions the `Rng` docstrings name."""
+
+    def __init__(self, rng, n_words):
+        key = np.array([rng.seed, rng.stream], dtype=np.uint64)
+        self.words = [int(w) for w in np.random.Philox(key=key).random_raw(n_words)]
+        self.pos = 0
+
+    def take(self, n):
+        out = self.words[self.pos:self.pos + n]
+        assert len(out) == n, "reference stream exhausted"
+        self.pos += n
+        return out
+
+    def next_u64(self):
+        return self.take(1)[0]
+
+    def uniform(self):
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def randbelow(self, n):
+        limit = (2 ** 64 // n) * n
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def normal(self, size):
+        pairs = (size + 1) // 2
+        u1 = (np.array(self.take(pairs), dtype=np.uint64) >> np.uint64(11)).astype(np.float64)
+        u1 = (u1 + 1.0) * 2.0 ** -53
+        u2 = (np.array(self.take(pairs), dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        r, theta = np.sqrt(-2.0 * np.log(u1)), (2.0 * np.pi) * u2
+        return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).ravel()[:size]
+
+
+def test_draws_read_the_bare_philox_stream():
+    sizes = (1, 63, 64, 65, 4097)
+    # 2**63 + 1 rejects almost half its words, so the rejection loop runs
+    bounds = (1, 7, 2 ** 32, 2 ** 63 + 1)
+    for rng in (Rng(0), Rng(2**64 - 1).child(3), Rng(0xC4).child(1, 17), Rng(5).child(0, 2**70)):
+        ref = _BarePhilox(rng, 40_000)
+        for i, size in enumerate(sizes):
+            kinds = ("next_u64", "uniform", "randbelow", "normal")
+            for kind in kinds[i % 4:] + kinds[:i % 4]:
+                if kind == "normal":
+                    got, want = rng.normal(size), ref.normal(size)
+                    assert got.shape == (size,) and got.tobytes() == want.tobytes(), size
+                elif kind == "randbelow":
+                    for j in range(size):
+                        n = bounds[j % len(bounds)]
+                        assert rng.randbelow(n) == ref.randbelow(n)
+                else:
+                    got = [getattr(rng, kind)() for _ in range(size)]
+                    assert got == [getattr(ref, kind)() for _ in range(size)], (kind, size)
+                    assert all(type(g) is type(got[0]) for g in got)
+        assert type(rng.next_u64()) is int
