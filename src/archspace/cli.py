@@ -192,6 +192,9 @@ def _cmd_replay(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"cannot read log {args.log}: {exc!r}") from exc
     final = replay_edits(spec, edits)
+    # An edit from a log can splice a template where its shape rule fails;
+    # such a network is refused (AssemblyError, exit 1), not written.
+    assemble_network(final)
     _write_out(serialize(final), args.out)
     return 0
 

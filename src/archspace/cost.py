@@ -47,12 +47,6 @@ class BlockCostReport:
     nodes: tuple[tuple[int, OpKind, Cost], ...]
     total: Cost
 
-    def per_op_flops(self) -> dict[OpKind, int]:
-        acc: dict[OpKind, int] = {}
-        for _, op, cost in self.nodes:
-            acc[op] = acc.get(op, 0) + cost.flops
-        return acc
-
 
 def block_cost(block: BlockGraph, shapes: Optional[dict[int, NodeShapes]] = None) -> BlockCostReport:
     """Per-node breakdown and totals at the block's inferred shapes."""

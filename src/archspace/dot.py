@@ -7,7 +7,7 @@ iteration everywhere) and uses only plain quoted identifiers.
 
 from __future__ import annotations
 
-from .graph import BlockGraph, INPUT, OUTPUT, infer_shapes
+from .graph import BlockGraph, INPUT, OUTPUT, bfs_reachable, infer_shapes
 from .network import NetworkSpec
 
 
@@ -15,19 +15,9 @@ def _couple_groups(block: BlockGraph) -> dict[int, int]:
     group: dict[int, int] = {}
     k = 0
     for v in sorted(block.couples):
-        if v in group:
-            continue
-        members = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for p in block.couples.get(u, ()):
-                if p not in members:
-                    members.add(p)
-                    frontier.append(p)
-        for m in members:
-            group[m] = k
-        k += 1
+        if v not in group:
+            group.update(dict.fromkeys(bfs_reachable(block.couples, (v,)) | {v}, k))
+            k += 1
     return group
 
 

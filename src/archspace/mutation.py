@@ -106,10 +106,15 @@ def _feasible_templates(shape: Shape) -> tuple[str, ...]:
     return tuple(name for name in TEMPLATE_NAMES if template_feasible(name, shape))
 
 
+def _check_template_ids(name: str, ids: tuple[int, ...]) -> None:
+    """InfeasibleEdit unless `ids` are distinct interior ids, one per template position."""
+    if (name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops)
+            or len(set(ids) - {INPUT, OUTPUT}) != len(ids)):
+        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
+
+
 def _template_parts(name: str, ids: tuple[int, ...]):
     """ops, internal edges and couples of the template, with node ids by position."""
-    if name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops):
-        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
     t = TEMPLATES[name]
     edges = [Edge(ids[a], pa, ids[b], pb) for a, pa, b, pb in t.wires]
     group = [ids[p] for p in t.couple]
@@ -216,8 +221,9 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
     if edit.kind == "add":
         if edit.cut_edge not in block.ports.outs.get(edit.cut_edge.src, ()):
             raise InfeasibleEdit(f"cut edge {edit.cut_edge} not present")
+        _check_template_ids(edit.template, edit.new_ids)
         for i in edit.new_ids:
-            if i in block.ops or i in (INPUT, OUTPUT):
+            if i in block.ops:
                 raise InfeasibleEdit(f"node id {i} already in use")
         ops, internal, couples = _template_parts(edit.template, edit.new_ids)
         e = edit.cut_edge
@@ -275,9 +281,7 @@ def _template_shapes(name: str, shape: Shape) -> tuple[NodeShapes, ...]:
 def template_node_shapes(name: str, shape: Shape, ids: tuple[int, ...]) -> dict[int, NodeShapes]:
     """Inferred shapes of the template's nodes when spliced into an edge of `shape`,
     read from a memo by template position and relabelled to `ids`."""
-    if (name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops)
-            or len(set(ids) - {INPUT, OUTPUT}) != len(ids)):
-        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
+    _check_template_ids(name, ids)
     return dict(zip(ids, _template_shapes(name, shape)))
 
 
@@ -288,43 +292,35 @@ class EditPatch(NamedTuple):
     shapes: dict[int, NodeShapes]       # shapes of the added nodes
     removed: tuple[int, ...]            # ids of the removed nodes
     op_flops: dict[OpKind, int]         # FLOPs change per op, one entry per touched op
-    transition: Optional[tuple[int, Cost]]  # (stage, new transition) when the first node changes
 
 
 @dataclass
 class CostState:
-    """Incremental network cost bookkeeping for search drivers."""
+    """Incremental network cost bookkeeping for search drivers: the network,
+    its blocks' node shapes, the network total and the network's FLOPs per op
+    (an op stays listed at 0 once every node of it is gone)."""
 
     spec: NetworkSpec
     shapes: list[dict[int, NodeShapes]]
-    block_totals: list[Cost]
-    block_op_flops: list[dict[OpKind, int]]
-    fixed_overhead: Cost            # stem + head
-    transitions: list[Cost]         # pool + projection or fusion adjustment per stage
+    total: Cost
+    op_flops: dict[OpKind, int]
 
     @staticmethod
     def from_spec(spec: NetworkSpec) -> "CostState":
-        shapes, totals, opflops = [], [], []
+        stem, transitions, head = skeleton_cost(spec)
+        total = sum([c for _, c in stem + head] + [t.total for t in transitions], ZERO_COST)
+        shapes, op_flops = [], {}
         for b in spec.blocks:
             s = infer_shapes(b)
             shapes.append(s)
             rep = block_cost(b, s)
-            totals.append(rep.total)
-            opflops.append(rep.per_op_flops())
-        stem, transitions, head = skeleton_cost(spec)
-        fixed = sum((c for _, c in stem + head), ZERO_COST)
-        return CostState(spec, shapes, totals, opflops, fixed, [t.total for t in transitions])
-
-    @property
-    def total(self) -> Cost:
-        return sum(self.transitions + self.block_totals, self.fixed_overhead)
+            total = total + rep.total
+            for _, op, cost in rep.nodes:
+                op_flops[op] = op_flops.get(op, 0) + cost.flops
+        return CostState(spec, shapes, total, op_flops)
 
     def network_op_flops(self) -> dict[OpKind, int]:
-        acc: dict[OpKind, int] = {}
-        for per in self.block_op_flops:
-            for op, f in per.items():
-                acc[op] = acc.get(op, 0) + f
-        return acc
+        return dict(self.op_flops)
 
     def preview(self, edit: Edit) -> tuple[Cost, EditPatch]:
         """Signed network-total change of the edit, without applying it, and
@@ -332,8 +328,9 @@ class CostState:
 
         Sound because templates restore the cut edge's shape and bridged
         eliminations preserve every surviving node's shapes, so only the
-        touched nodes' entries change, plus the stage transition when the
-        edit replaces the first node of a stage's leading block.
+        touched nodes' entries change.  When the edit replaces the first node
+        of a stage's leading block, the delta also holds the change of that
+        stage's transition, recomputed for the old and the new first op.
         """
         bi = edit.block_index
         block, shapes = self.spec.blocks[bi], self.shapes[bi]
@@ -353,30 +350,27 @@ class CostState:
             params, flops = op_cost(op, ns.in_shapes, ns.out_shapes)
             change = change + Cost(sign * params, sign * flops)
             op_flops[op] = op_flops.get(op, 0) + sign * flops
-        delta, transition = change, None
+        delta = change
         si = self.spec.block_stage(bi)
         if entry == INPUT and self.spec.stage_first_positions()[si] == bi:
-            transition = (si, transition_cost(self.spec, si, new_first).total)
-            delta = delta + transition[1] - self.transitions[si]
-        return delta, EditPatch(change, added, removed, op_flops, transition)
+            old_first = block.ops.get(block.first_interior())
+            delta = delta + (transition_cost(self.spec, si, new_first).total
+                             - transition_cost(self.spec, si, old_first).total)
+        return delta, EditPatch(change, added, removed, op_flops)
 
     def after_edit(self, new_spec: NetworkSpec, edit: Edit) -> "CostState":
         """State for new_spec, applying the edit's preview patch."""
-        _, patch = self.preview(edit)
+        delta, patch = self.preview(edit)
         bi = edit.block_index
-        shapes, totals = list(self.shapes), list(self.block_totals)
-        opflops, transitions = list(self.block_op_flops), list(self.transitions)
+        shapes = list(self.shapes)
         block_shapes = shapes[bi] = dict(shapes[bi])
         for v in patch.removed:
             del block_shapes[v]
         block_shapes.update(patch.shapes)
-        totals[bi] = totals[bi] + patch.block
-        per_op = opflops[bi] = dict(opflops[bi])
+        op_flops = dict(self.op_flops)
         for op, f in patch.op_flops.items():
-            per_op[op] = per_op.get(op, 0) + f
-        if patch.transition is not None:
-            transitions[patch.transition[0]] = patch.transition[1]
-        return CostState(new_spec, shapes, totals, opflops, self.fixed_overhead, transitions)
+            op_flops[op] = op_flops.get(op, 0) + f
+        return CostState(new_spec, shapes, self.total + delta, op_flops)
 
 
 def network_delta(state: CostState, edit: Edit) -> Cost:

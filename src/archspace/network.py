@@ -144,14 +144,12 @@ def validate_network(spec: NetworkSpec) -> list[str]:
 class TransitionPlan:
     in_channels: int
     out_channels: int
-    out_spatial: tuple[int, int]
     fused: bool  # projection merged into the stage's first block conv
 
 
 @dataclass(frozen=True)
 class ExecutablePlan:
     spec: NetworkSpec
-    stem_spatial: tuple[tuple[int, int], tuple[int, int]]
     transitions: tuple[TransitionPlan, ...]
     # Per block position: channel count the block's entry conv consumes when
     # the stage projection is fused into it, else None.
@@ -178,11 +176,10 @@ def assemble_network(spec: NetworkSpec) -> ExecutablePlan:
         fused = first is not None and lead.ops[first] in FUSABLE_OPS
         if fused:
             fused_entry[firsts[si]] = c_prev
-        transitions.append(TransitionPlan(c_prev, st.channels, st.spatial, fused))
+        transitions.append(TransitionPlan(c_prev, st.channels, fused))
         c_prev = st.channels
     return ExecutablePlan(
         spec=spec,
-        stem_spatial=stem_spatial(spec.input_resolution),
         transitions=tuple(transitions),
         fused_entry=tuple(fused_entry),
     )

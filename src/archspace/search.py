@@ -90,17 +90,16 @@ def _seed_state(seed_net: NetworkSpec, budget: Budget) -> CostState:
     return state
 
 
-def _steps(net: NetworkSpec, state: CostState, cfg: WalkConfig | EvoConfig, streams: Iterable[Rng]
-           ) -> Iterator[tuple[NetworkSpec, CostState, Edit | None]]:
+def _steps(state: CostState, cfg: WalkConfig | EvoConfig, streams: Iterable[Rng]
+           ) -> Iterator[tuple[CostState, Edit | None]]:
     """One propose/apply step per stream, in order, with cfg's budget and step
-    options.  Yields (net, state, edit) after each step; edit is None for a
-    NoOp step."""
+    options.  Yields (state, edit) after each step; edit is None for a NoOp
+    step."""
     for rng in streams:
-        edit = propose_step(net, SearchStepConfig(cfg.budget, rng, cfg.p_eliminate, cfg.n_try), state)
+        edit = propose_step(state.spec, SearchStepConfig(cfg.budget, rng, cfg.p_eliminate, cfg.n_try), state)
         if edit is not None:
-            net = apply(net, edit)
-            state = state.after_edit(net, edit)
-        yield net, state, edit
+            state = state.after_edit(apply(state.spec, edit), edit)
+        yield state, edit
 
 
 def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, SearchLog]:
@@ -111,8 +110,7 @@ def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, Se
     log.append(step=0, edit=None, params=state.total.params, flops=state.total.flops,
                op_flops=_op_flops_json(state))
     streams = (root.child(1, step) for step in range(1, cfg.steps + 1))
-    net = seed_net
-    for step, (net, state, edit) in enumerate(_steps(seed_net, state, cfg, streams), 1):
+    for step, (state, edit) in enumerate(_steps(state, cfg, streams), 1):
         if step % cfg.record_every == 0 or step == cfg.steps:
             log.append(
                 step=step,
@@ -124,7 +122,7 @@ def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, Se
         elif edit is not None:
             log.append(step=step, edit=edit.to_json(),
                        params=state.total.params, flops=state.total.flops)
-    return net, log
+    return state.spec, log
 
 
 def _op_flops_json(state: CostState) -> dict[str, int]:
@@ -138,13 +136,12 @@ def replay_edits(seed_net: NetworkSpec, edits: list[Edit]) -> NetworkSpec:
     return net
 
 
-def _mutate_candidate(net: NetworkSpec, state: CostState, cfg: EvoConfig, rng: Rng
-                      ) -> tuple[NetworkSpec, CostState, list[Edit]]:
+def _mutate_candidate(state: CostState, cfg: EvoConfig, rng: Rng) -> tuple[CostState, list[Edit]]:
     edits = []
-    for net, state, edit in _steps(net, state, cfg, (rng.child(s) for s in range(cfg.steps_per_candidate))):
+    for state, edit in _steps(state, cfg, (rng.child(s) for s in range(cfg.steps_per_candidate))):
         if edit is not None:
             edits.append(edit)
-    return net, state, edits
+    return state, edits
 
 
 def size_orthogonality_report(
@@ -164,11 +161,11 @@ def size_orthogonality_report(
 
     root = Rng(seed)
     streams = (root.child(1, step) for step in range(1, steps + 1))
-    walk = _steps(seed_net, _seed_state(seed_net, budget), WalkConfig(steps, budget, seed), streams)
+    walk = _steps(_seed_state(seed_net, budget), WalkConfig(steps, budget, seed), streams)
     params_list, scores = [], []
-    for step, (net, state, _) in enumerate(walk, 1):
+    for step, (state, _) in enumerate(walk, 1):
         if step % sample_every == 0:
-            score = score_network(net, ProxyId.VKDNW, root.child(2, step),
+            score = score_network(state.spec, ProxyId.VKDNW, root.child(2, step),
                                   batch_size=batch_size)
             params_list.append(state.total.params)
             scores.append(score.value)
@@ -191,22 +188,19 @@ def evolve(seed_net: NetworkSpec, cfg: EvoConfig) -> tuple[NetworkSpec, SearchLo
     root = Rng(cfg.seed)
     seed_score = score_network(seed_net, cfg.proxy_id, root.child(2, 0),
                                batch_size=cfg.batch_size, threads=cfg.threads).value
-    # Entries are (score, tiebreak age, net, state); truncation keeps top scores,
+    # Entries are (score, tiebreak age, state); truncation keeps top scores,
     # preferring older entries on ties so results do not depend on sort internals.
-    population = [(seed_score, i, seed_net, seed_state) for i in range(cfg.population_size)]
+    population = [(seed_score, i, seed_state) for i in range(cfg.population_size)]
     age = cfg.population_size
     log = SearchLog()
     log.append(step=0, score=seed_score, params=seed_state.total.params,
                flops=seed_state.total.flops, edits=[])
     for step in range(1, cfg.total_steps + 1):
         pick = root.child(3, step).randbelow(len(population))
-        _, _, parent_net, parent_state = population[pick]
-        child, child_state, edits = _mutate_candidate(
-            parent_net, parent_state, cfg, root.child(1, step)
-        )
-        score = score_network(child, cfg.proxy_id, root.child(2, step),
+        child, edits = _mutate_candidate(population[pick][2], cfg, root.child(1, step))
+        score = score_network(child.spec, cfg.proxy_id, root.child(2, step),
                               batch_size=cfg.batch_size, threads=cfg.threads).value
-        population.append((score, age, child, child_state))
+        population.append((score, age, child))
         age += 1
         population.sort(key=lambda t: (-t[0], t[1]))
         del population[cfg.population_size:]
@@ -214,11 +208,10 @@ def evolve(seed_net: NetworkSpec, cfg: EvoConfig) -> tuple[NetworkSpec, SearchLo
             step=step,
             parent=pick,
             score=score,
-            params=child_state.total.params,
-            flops=child_state.total.flops,
+            params=child.total.params,
+            flops=child.total.flops,
             population_min=population[-1][0],
             population_max=population[0][0],
             edits=[e.to_json() for e in edits],
         )
-    best = population[0]
-    return best[2], log
+    return population[0][2].spec, log

@@ -237,6 +237,25 @@ def test_exit_codes(tmp_path, capsys):
         assert run("replay", str(net), "--log", str(headless)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and says in err, (fields, err)
+    # 1: a replay that would write an invalid network, or that repeats a new
+    # node id, is refused with one stderr line and writes nothing
+    readme = tmp_path / "readme.json"
+    assert run("build", "--variant", "mbconv4,resnet_basic", "--stem", "12",
+               "--resolution", "32", "--stages", "2,2", "--dims", "24,48",
+               "--classes", "10", "--out", str(readme)) == 0
+    blk = parse_document(readme.read_bytes()).blocks[2]
+    assert blk.input_shape == (48, 2, 2)
+    one_edit = tmp_path / "one_edit.jsonl"
+    replayed = tmp_path / "replayed.json"
+    for template, ids, says in [("relposbias", (blk.next_id,), "RelPosBias requires integer sqrt"),
+                                ("copy_add", (blk.next_id,) * 2, str((blk.next_id,) * 2))]:
+        edit = a.Edit("add", 2, a.INPUT, blk.digest, template=template,
+                      cut_edge=blk.out_edges(a.INPUT)[0], new_ids=ids)
+        one_edit.write_text(json.dumps({"step": 1, "edit": edit.to_json()}) + "\n")
+        capsys.readouterr()
+        assert run("replay", str(readme), "--log", str(one_edit), "--out", str(replayed)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and says in err and not replayed.exists(), (template, err)
     # 1: a seed network with fewer blocks than its stages hold is refused before the walk
     assert run("walk", str(bad_docs["no_blocks"]), "--steps", "1") == 1
 

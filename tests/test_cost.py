@@ -209,21 +209,33 @@ def _nonzero(per_op):
     return {op: f for op, f in per_op.items() if f}
 
 
+def _per_op_flops(report):
+    acc = {}
+    for _, op, cost in report.nodes:
+        acc[op] = acc.get(op, 0) + cost.flops
+    return acc
+
+
 def test_delta_cost_matches_recomputation(desk_spec, desk_budget):
     for net, state, edit in _random_edits(desk_spec, desk_budget, 17, 300):
         old = block_cost(net.blocks[edit.block_index])
         new = block_cost(apply(net, edit).blocks[edit.block_index])
         patch = state.preview(edit)[1]
         assert old.total + patch.block == new.total, edit
-        per_op = old.per_op_flops()
+        per_op = _per_op_flops(old)
         for op, f in patch.op_flops.items():
             per_op[op] = per_op.get(op, 0) + f
-        assert _nonzero(per_op) == _nonzero(new.per_op_flops()), edit
+        assert _nonzero(per_op) == _nonzero(_per_op_flops(new)), edit
 
 
 def test_network_delta_matches_recomputation(desk_spec, desk_budget):
     fusion = _first_node_edits(desk_spec)
-    assert all(state.preview(edit)[1].transition is not None for _, state, edit in fusion)
+    # Each cuts or bridges the input edge of a stage's leading block, and some
+    # change that stage's transition term.
+    assert all(edit.block_index in net.stage_first_positions()
+               and (edit.cut_edge or edit.bridge).src == INPUT for net, _, edit in fusion)
+    assert any(network_cost(net).transitions != network_cost(apply(net, edit)).transitions
+               for net, _, edit in fusion)
     for net, state, edit in _random_edits(desk_spec, desk_budget, 23, 300) + fusion:
         after = apply(net, edit)
         expected = network_cost(after).total

@@ -282,6 +282,13 @@ def test_ledger_matches_recomputation_after_random_edits(seed, p_eliminate):
         if edit is not None:
             net = apply(net, edit)
             state = state.after_edit(net, edit)
-    assert state.total == a.network_cost(net).total
+    report = a.network_cost(net)
+    assert state.total == report.total
     for bi, block in enumerate(net.blocks):
         assert state.shapes[bi] == infer_shapes(block)
+    per_op = {}
+    for b in report.blocks:
+        for _, op, cost in b.nodes:
+            per_op[op] = per_op.get(op, 0) + cost.flops
+    assert {op: f for op, f in state.network_op_flops().items() if f} == \
+        {op: f for op, f in per_op.items() if f}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 import archspace as a
 from archspace.dot import to_dot
 from archspace.errors import FormatError
-from archspace.ops import Shape
+from archspace.graph import GraphAssembler, INPUT, OUTPUT
+from archspace.ops import OpKind, Shape
 from archspace.serialize import parse_document, serialize, to_document
 
 from _oracles import check_dot, fuzz_network
@@ -79,6 +81,29 @@ def test_dot_network_renders_every_block(desk_spec):
     check_dot(text)
     assert text.count("subgraph") == len(desk_spec.blocks)
     assert '"stem"' in text and '"head"' in text
+
+
+def test_dot_bytes_are_pinned():
+    # The README network, and a block whose couple groups are chained
+    # (x <-> y, y <-> z form one group) next to a plain pair u <-> w.
+    # A deliberate change of these bytes updates the pins and is recorded
+    # in CHANGES.md.
+    blocks = [a.build(v, Shape(c, s, s)) for v, c, s in
+              [("mbconv4", 24, 4), ("mbconv4", 24, 4), ("resnet_basic", 48, 2), ("resnet_basic", 48, 2)]]
+    readme = a.make_network(12, (32, 32), (2, 2), (24, 48), 10, blocks=blocks)
+    g = GraphAssembler(Shape(8, 4, 4))
+    x, y, z = g.add(OpKind.GELU), g.add(OpKind.CONV1), g.add(OpKind.SIGMOID)
+    u, w = g.add(OpKind.BATCH_NORM), g.add(OpKind.GELU)
+    for src, dst in [(INPUT, u), (u, x), (x, y), (y, z), (z, w), (w, OUTPUT)]:
+        g.wire(src, 0, dst, 0)
+    g.couple(x, y)
+    g.couple(y, z)
+    g.couple(u, w)
+    chained = to_dot(g.finish())
+    assert chained.count("pair 0") == 3 and chained.count("pair 1") == 2
+    got = [hashlib.sha256(text.encode()).hexdigest() for text in (to_dot(readme), chained)]
+    assert got == ["0e8d659ba8147636abf7fa09c23766494294492743f845f101f659c94a5a9e45",
+                   "53e5e65303120083be687b272b3fe60abf736ba31a9070dc4625719bcd742ac3"]
 
 
 def test_dot_of_fuzzed_networks_is_well_formed():
