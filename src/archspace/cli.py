@@ -12,16 +12,12 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import builders
 from .cost import Budget, network_cost
 from .dot import to_dot
 from .errors import ArchSpaceError, BudgetError, FormatError, InfeasibleShape
-from .graph import validate
 from .interpreter import forward_network, init_network_params
 from .network import assemble_network, make_network, validate_network
-from .ops import Shape
 from .protocol import TASKS, emit_protocol
 from .proxy import DEFAULT_BATCH, MIN_BATCH, ProxyId, score_network
 from .rng import Rng
@@ -85,9 +81,8 @@ def _cmd_build(args) -> int:
                         args.classes, in_channels=args.in_channels)
     blocks = []
     for si, st in enumerate(spec.stages):
-        shape = Shape(st.channels, *st.spatial)
         for _ in range(st.n_blocks):
-            blocks.append(builders.build(variants[si], shape))
+            blocks.append(builders.build(variants[si], st.shape))
     spec = make_network(args.stem, args.resolution, args.stages, args.dims,
                         args.classes, blocks=blocks, in_channels=args.in_channels)
     _write_out(serialize(spec), args.out)
@@ -191,11 +186,7 @@ def _cmd_replay(args) -> int:
             edits = SearchLog.from_jsonl(fh.read()).edits()
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"cannot read log {args.log}: {exc!r}") from exc
-    final = replay_edits(spec, edits)
-    # An edit from a log can splice a template where its shape rule fails;
-    # such a network is refused (AssemblyError, exit 1), not written.
-    assemble_network(final)
-    _write_out(serialize(final), args.out)
+    _write_out(serialize(replay_edits(spec, edits)), args.out)
     return 0
 
 

@@ -104,28 +104,26 @@ class TransitionCost:
 
 
 def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> TransitionCost:
-    """Pool, then the 1x1 projection into stage si; when the stage's first
-    block starts with a fusable conv `first_op`, the projection is replaced by
-    an adjustment from that conv's standalone cost to its fused-input cost."""
+    """Pool, then the 1x1 projection into stage si from the channels that
+    `NetworkSpec.stage_entry` gives; when the stage's first block starts with
+    a fusable conv `first_op`, the projection is replaced by an adjustment
+    from that conv's standalone cost to its fused-input cost."""
     st = spec.stages[si]
-    c_prev = spec.stem_out_channels if si == 0 else spec.stages[si - 1].channels
-    shape = Shape(st.channels, *st.spatial)
-    pool = pool_cost(c_prev, st.spatial)
+    c_in = spec.stage_entry(si)[0]
+    pool = pool_cost(c_in, st.spatial)
     if first_op in FUSABLE_OPS:
-        adj = fused_conv_cost(first_op, c_prev, shape) - fused_conv_cost(first_op, st.channels, shape)
+        adj = fused_conv_cost(first_op, c_in, st.shape) - fused_conv_cost(first_op, st.channels, st.shape)
         return TransitionCost(pool, None, adj, True)
-    return TransitionCost(pool, conv2d_cost(c_prev, st.channels, 1, *st.spatial), ZERO_COST, False)
+    return TransitionCost(pool, conv2d_cost(c_in, st.channels, 1, *st.spatial), ZERO_COST, False)
 
 
 def skeleton_cost(spec: NetworkSpec):
     """Stem terms, per-stage transitions and head terms: all but the blocks."""
-    transitions = []
-    for si, bi in enumerate(spec.stage_first_positions()):
-        first = spec.blocks[bi].first_interior()
-        transitions.append(transition_cost(spec, si, None if first is None else spec.blocks[bi].ops[first]))
+    transitions = tuple(transition_cost(spec, si, spec.stage_entry(si)[1])
+                        for si in range(len(spec.stages)))
     last = spec.stages[-1]
     return (stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution),
-            tuple(transitions), head_cost(last.channels, spec.num_classes, last.spatial))
+            transitions, head_cost(last.channels, spec.num_classes, last.spatial))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,11 @@ class GraphError(ArchSpaceError):
 class ShapeMismatch(GraphError):
     def __init__(self, node, expected, found):
         super().__init__(f"node {node}: expected shape {expected}, found {found}")
-        self.node = node
-        self.expected = expected
-        self.found = found
 
 
 class DivisibilityViolation(GraphError):
     def __init__(self, node, rule):
         super().__init__(f"node {node}: {rule}")
-        self.node = node
-        self.rule = rule
 
 
 class NonSquareSpatial(GraphError):
@@ -29,8 +24,6 @@ class NonSquareSpatial(GraphError):
 
     def __init__(self, node, detail):
         super().__init__(f"node {node}: {detail}")
-        self.node = node
-        self.detail = detail
 
 
 class CycleDetected(GraphError):
@@ -50,13 +43,7 @@ class StaleEdit(ArchSpaceError):
 
 
 class AssemblyError(ArchSpaceError):
-    """Network assembly failed; carries the offending block index (-1 when
-    no block is at fault).  The detail names the block itself."""
-
-    def __init__(self, block_index, detail):
-        super().__init__(detail)
-        self.block_index = block_index
-        self.detail = detail
+    """Network assembly failed; the message names each offending block."""
 
 
 class BudgetError(ArchSpaceError, ValueError):

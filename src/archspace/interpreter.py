@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .graph import BlockGraph, INPUT, OUTPUT, _by_dst_port, infer_shapes, topo_order
 from .network import ExecutablePlan
-from .ops import CONV, DEPTHWISE, OP_INFO, OpKind, Shape, rel_pos_bias_table
+from .ops import CONV, DEPTHWISE, OP_INFO, OpKind, rel_pos_bias_table
 from .rng import Rng
 
 _BN_EPS = 1e-5
@@ -89,12 +89,16 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
     return store
 
 
+def _pad(x, pad, value=0.0):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
+
+
 def conv2d(x, w, b, stride=1, padding=0):
     n, cin, h, win = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
         raise ShapeMismatch("conv", f"C_in={cin_w}", f"C_in={cin}")
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _pad(x, padding)
     hout = (h + 2 * padding - kh) // stride + 1
     wout = (win + 2 * padding - kw) // stride + 1
     out = np.zeros((n, cout, hout, wout))
@@ -109,7 +113,7 @@ def conv2d(x, w, b, stride=1, padding=0):
 def depthwise_conv2d(x, w, padding):
     n, c, h, win = x.shape
     k = w.shape[-1]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = _pad(x, padding)
     out = np.zeros_like(x)
     for dy in range(k):
         for dx in range(k):
@@ -119,10 +123,7 @@ def depthwise_conv2d(x, w, padding):
 
 def maxpool2d(x, kernel=3, stride=1, padding=1):
     n, c, h, w = x.shape
-    xp = np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=-np.inf,
-    )
+    xp = _pad(x, padding, -np.inf)
     hout = (h + 2 * padding - kernel) // stride + 1
     wout = (w + 2 * padding - kernel) // stride + 1
     out = np.full((n, c, hout, wout), -np.inf)
@@ -339,10 +340,6 @@ def _ein(subscripts, g, a):
         first, rest = subscripts.split(",")
         subscripts, a = first + "," + rest[1:], a[0]
     return np.einsum(subscripts, g, a, optimize=True)
-
-
-def _pad(x, pad, value=0.0):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
 
 
 def _conv_vjp(g, x, w, pad, align, want_x):
@@ -576,12 +573,13 @@ def init_network_params(plan: ExecutablePlan, rng: Rng) -> NetworkParams:
         (_he_weight(rng.child(0, 1), (s, s, 3, 3), 9 * s), np.zeros(s)),
     )
     projections = []
-    for si, tp in enumerate(plan.transitions):
-        if tp.fused:
+    for si, bi in enumerate(spec.stage_first_positions()):
+        if plan.fused_entry[bi] is not None:
             projections.append(None)
         else:
-            w = _he_weight(rng.child(1, si), (tp.out_channels, tp.in_channels, 1, 1), tp.in_channels)
-            projections.append((w, np.zeros(tp.out_channels)))
+            c_in, c_out = spec.stage_entry(si)[0], spec.stages[si].channels
+            w = _he_weight(rng.child(1, si), (c_out, c_in, 1, 1), c_in)
+            projections.append((w, np.zeros(c_out)))
     blocks = tuple(
         init_params(b, rng.child(2, i), entry_in_channels=plan.fused_entry[i])
         for i, b in enumerate(spec.blocks)

@@ -353,7 +353,7 @@ class CostState:
         delta = change
         si = self.spec.block_stage(bi)
         if entry == INPUT and self.spec.stage_first_positions()[si] == bi:
-            old_first = block.ops.get(block.first_interior())
+            old_first = self.spec.stage_entry(si)[1]
             delta = delta + (transition_cost(self.spec, si, new_first).total
                              - transition_cost(self.spec, si, old_first).total)
         return delta, EditPatch(change, added, removed, op_flops)

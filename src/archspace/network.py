@@ -31,6 +31,11 @@ class StageSpec:
     channels: int
     spatial: tuple[int, int]
 
+    @property
+    def shape(self) -> Shape:
+        """The input (and output) shape of each of the stage's blocks."""
+        return Shape(self.channels, *self.spatial)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -55,6 +60,14 @@ class NetworkSpec:
             firsts.append(pos)
             pos += st.n_blocks
         return tuple(firsts)
+
+    def stage_entry(self, si: int) -> tuple[int, Optional[OpKind]]:
+        """What enters stage si: the channels of the stem (si == 0) or of the
+        previous stage, and the first op of the stage's leading block (None
+        for an identity block), which decides whether the projection fuses."""
+        c_in = self.stem_out_channels if si == 0 else self.stages[si - 1].channels
+        lead = self.blocks[self.stage_first_positions()[si]]
+        return c_in, lead.ops.get(lead.first_interior())
 
     def with_block(self, index: int, block: BlockGraph) -> "NetworkSpec":
         blocks = list(self.blocks)
@@ -99,8 +112,7 @@ def make_network(
     if blocks is None:
         blocks = []
         for st in stages:
-            shape = Shape(st.channels, *st.spatial)
-            blocks.extend(BlockGraph.identity(shape) for _ in range(st.n_blocks))
+            blocks.extend(BlockGraph.identity(st.shape) for _ in range(st.n_blocks))
     blocks = tuple(blocks)
     if len(blocks) != sum(stage_blocks):
         raise FormatError(f"expected {sum(stage_blocks)} blocks, got {len(blocks)}")
@@ -129,8 +141,7 @@ def validate_network(spec: NetworkSpec) -> list[str]:
         if st.n_blocks < 1 or st.channels < 1:
             bad.append(f"stage {si}: n_blocks and channels must be >= 1")
     for bi, block in enumerate(spec.blocks):
-        st = spec.stages[spec.block_stage(bi)]
-        want = Shape(st.channels, *st.spatial)
+        want = spec.stages[spec.block_stage(bi)].shape
         if block.input_shape != want:
             bad.append(f"block {bi}: input shape {block.input_shape} != stage shape {want}")
             continue
@@ -141,45 +152,24 @@ def validate_network(spec: NetworkSpec) -> list[str]:
 
 
 @dataclass(frozen=True)
-class TransitionPlan:
-    in_channels: int
-    out_channels: int
-    fused: bool  # projection merged into the stage's first block conv
-
-
-@dataclass(frozen=True)
 class ExecutablePlan:
+    """A valid network and, per block position, the channel count the
+    block's entry conv consumes when its stage's projection is fused into
+    it, else None.  A stage whose leading block holds None keeps its 1x1
+    projection."""
+
     spec: NetworkSpec
-    transitions: tuple[TransitionPlan, ...]
-    # Per block position: channel count the block's entry conv consumes when
-    # the stage projection is fused into it, else None.
     fused_entry: tuple[Optional[int], ...]
 
 
 def assemble_network(spec: NetworkSpec) -> ExecutablePlan:
-    """Linearized execution plan; raises AssemblyError naming the bad block."""
+    """Execution plan; raises AssemblyError, whose message names each bad block."""
     bad = validate_network(spec)
     if bad:
-        block_hint = next((v for v in bad if v.startswith("block ")), bad[0])
-        idx = -1
-        if block_hint.startswith("block "):
-            idx = int(block_hint.split()[1].rstrip(":"))
-        raise AssemblyError(idx, "; ".join(bad))
-
-    firsts = spec.stage_first_positions()
-    transitions = []
+        raise AssemblyError("; ".join(bad))
     fused_entry: list[Optional[int]] = [None] * len(spec.blocks)
-    c_prev = spec.stem_out_channels
-    for si, st in enumerate(spec.stages):
-        lead = spec.blocks[firsts[si]]
-        first = lead.first_interior()
-        fused = first is not None and lead.ops[first] in FUSABLE_OPS
-        if fused:
-            fused_entry[firsts[si]] = c_prev
-        transitions.append(TransitionPlan(c_prev, st.channels, fused))
-        c_prev = st.channels
-    return ExecutablePlan(
-        spec=spec,
-        transitions=tuple(transitions),
-        fused_entry=tuple(fused_entry),
-    )
+    for si, bi in enumerate(spec.stage_first_positions()):
+        c_in, first_op = spec.stage_entry(si)
+        if first_op in FUSABLE_OPS:
+            fused_entry[bi] = c_in
+    return ExecutablePlan(spec, tuple(fused_entry))

@@ -130,9 +130,13 @@ def _op_flops_json(state: CostState) -> dict[str, int]:
 
 
 def replay_edits(seed_net: NetworkSpec, edits: list[Edit]) -> NetworkSpec:
+    """The seed with the edits applied in order."""
     net = seed_net
     for e in edits:
         net = apply(net, e)
+    # An edit from a log can splice a template where its shape rule fails;
+    # such a network is refused (AssemblyError), not returned.
+    assemble_network(net)
     return net
 
 

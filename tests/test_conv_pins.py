@@ -1,11 +1,14 @@
 """Byte pins for every convolution path: parameter init, forward and block
 gradients over blocks holding all seven convolution ops, and the cost
 report and logits of networks whose stage-leading op is each fusable conv
-(so its weights take the projection's input channels).
+(so its weights take the projection's input channels), of one whose stages
+all lead with a non-fusable op (so each keeps its 1x1 projection), and of
+one with a fused and an unfused stage.
 
 The pins were recorded before the convolution geometry moved into one
-table, and the network logits again when GELU moved from scipy's erf to
-math.erf; a deliberate change of these bytes updates them and is recorded
+table, the network logits again when GELU moved from scipy's erf to
+math.erf, and the unfused and mixed networks before a stage's input
+channels and projection fusion were read from NetworkSpec.stage_entry; a deliberate change of these bytes updates them and is recorded
 in CHANGES.md.
 """
 
@@ -49,6 +52,17 @@ BLOCK_PINS = {
                         "deb4e74af8b58d4c03a91c113bac368a6f8685457f52d66b38531c0ffaf38c7d"),
 }
 
+# Per network: the templates along each stage's leading block, and whether
+# each stage's projection fuses into that block's first conv.
+NETWORKS = {
+    "conv1": ((("conv1", "gelu"),) * 2, [True, True]),
+    "conv3": ((("conv3", "gelu"),) * 2, [True, True]),
+    "convexp4_convred4": ((("convexp4_convred4", "gelu"),) * 2, [True, True]),
+    "attention": ((("attention", "gelu"),) * 2, [True, True]),
+    "unfused": ((("convdepth3", "conv1"), ("batchnorm", "conv3")), [False, False]),
+    "mixed": ((("conv3", "gelu"), ("convdepth5", "conv1")), [True, False]),
+}
+
 NETWORK_PINS = {
     "conv1": ("d442c380a88356d0e7020b1277b11016dd90356a7028388640101e88c7204941",
               "f0903f8f6dcc8129302e558a535294fd5ddd1a86e3631ed5e5bff7d20c4a1ece"),
@@ -58,6 +72,10 @@ NETWORK_PINS = {
                           "5e701d1d1aebe93e0ff3c0c8dfbb52398761ec94ecaae7f25add1fc526e3bdde"),
     "attention": ("ec6efc0c6ba836087a5901e82b3cbf45f4816532b8ba233cef7288b5f036abcb",
                   "7c16750cb79994ec0714687e0dbb3df89d2fd16d66895f8ee9c00d1e9d51e47c"),
+    "unfused": ("ce1f0ea7424880784f9d818cf0ab7830ed080f6eb07307b13003f753da3b6252",
+                "725cf6411ecf5fcf09411bc3356b9e79e83cd71c3bfcb85743ee6e7102512fa1"),
+    "mixed": ("b1971dec19e018fa9d3bee0acb697dac3cac25839db7ae62e98a2f3f8c215f81",
+              "d3a908e164552d6497625a8f58f70808ecc8285e1bf95d78ae01fae4db2933e1"),
 }
 
 
@@ -72,13 +90,14 @@ def _block_bytes(templates):
             _digest(block_gradients(blk, store, x, u)))
 
 
-def _network_bytes(template):
+def _network_bytes(stage_templates, fused):
     spec0 = a.make_network(6, (32, 32), (1, 1), (8, 16), 10)
-    blocks = [_block(Shape(st.channels, *st.spatial), (template, "gelu")) for st in spec0.stages]
+    blocks = [_block(st.shape, t) for st, t in zip(spec0.stages, stage_templates)]
     spec = a.make_network(6, (32, 32), (1, 1), (8, 16), 10, blocks=blocks)
-    report = json.dumps(a.network_cost(spec).to_json(), sort_keys=True).encode()
+    rep = a.network_cost(spec)
+    assert [t.fused for t in rep.transitions] == fused
+    report = json.dumps(rep.to_json(), sort_keys=True).encode()
     plan = a.assemble_network(spec)
-    assert all(t.fused for t in plan.transitions)
     params = a.init_network_params(plan, Rng(21).child(0))
     logits = a.forward_network(plan, params, Rng(21).child(1).normal((2, 3, 32, 32)))
     return hashlib.sha256(report).hexdigest(), _digest(logits)
@@ -93,5 +112,5 @@ def test_conv_block_bytes_are_pinned():
 
 
 def test_fused_conv_network_bytes_are_pinned():
-    got = {t: _network_bytes(t) for t in ("conv1", "conv3", "convexp4_convred4", "attention")}
+    got = {name: _network_bytes(*net) for name, net in NETWORKS.items()}
     assert got == NETWORK_PINS

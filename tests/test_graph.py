@@ -163,7 +163,7 @@ def test_block_stage_mismatch_names_block_index():
     bad = spec.with_block(1, BlockGraph.identity(Shape(8, 2, 2)))
     with pytest.raises(AssemblyError) as exc:
         a.assemble_network(bad)
-    assert exc.value.block_index == 1
+    assert str(exc.value).startswith("block 1: ")
 
 
 def test_assembly_error_names_the_block_once():
@@ -173,7 +173,6 @@ def test_assembly_error_names_the_block_once():
     spec = a.make_network(4, (32, 32), (1, 1), (8, 16), 10).with_block(0, copy)
     with pytest.raises(AssemblyError) as exc:
         a.assemble_network(spec)
-    assert exc.value.block_index == 0
     assert str(exc.value).startswith("block 0: node 2") and str(exc.value).count("block 0:") == 1
 
 

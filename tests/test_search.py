@@ -1,7 +1,7 @@
 import pytest
 
 import archspace as a
-from archspace.errors import BudgetError
+from archspace.errors import AssemblyError, BudgetError
 from archspace.proxy import ProxyId
 from archspace.search import (
     EvoConfig,
@@ -37,6 +37,15 @@ def test_walk_log_replays_to_the_same_network(desk_spec, desk_budget):
     replayed = replay_edits(desk_spec, restored.edits())
     assert all(a.same_graph(x, y) for x, y in zip(replayed.blocks, net.blocks))
     assert a.network_cost(replayed).total == a.network_cost(net).total
+
+
+def test_replay_refuses_an_edit_that_breaks_a_shape_rule(desk_spec):
+    # RelPosBias needs integer square roots of H and W, and block 2 is at (48, 2, 2).
+    blk = desk_spec.blocks[2]
+    edit = a.Edit("add", 2, a.INPUT, blk.digest, template="relposbias",
+                  cut_edge=blk.out_edges(a.INPUT)[0], new_ids=(blk.next_id,))
+    with pytest.raises(AssemblyError, match="RelPosBias requires integer sqrt"):
+        replay_edits(desk_spec, [edit])
 
 
 def test_walk_is_reproducible(desk_spec, desk_budget):
