@@ -41,6 +41,49 @@ def test_conv_costs_match_operation_table():
     assert {op: op_cost(op, [s], transfer(op, [s])) for op in table} == table
 
 
+def test_every_op_matches_operation_table():
+    # All 27 rows of the README operation table at (C,H,W) = (12,4,4), written
+    # out by hand: C divides by 2, 3 and 4, and sqrt(4) is an integer.  Params
+    # come from the README column, not from the allocated tensors, so a wrong
+    # tensor shape in ops.OP_INFO cannot pass unseen.
+    s = Shape(12, 4, 4)
+    x2, x3 = [s, s], [s, s, s]
+    table = {  # op: (input shapes, output shapes, params, FLOPs)
+        OpKind.SOFTMAX: ([s], [s], 0, 528),                          # CH(3W-1)
+        OpKind.DROPOUT: ([s], [s], 0, 192),                          # CHW
+        OpKind.MAXPOOL: ([s], [s], 0, 1728),                         # 9CHW
+        OpKind.MASK: ([s], [s], 0, 192),                             # CHW
+        OpKind.SIGMOID: ([s], [s], 0, 576),                          # 3CHW
+        OpKind.GELU: ([s], [s], 0, 576),                             # 3CHW
+        OpKind.CONV1: ([s], [s], 156, 4608),                         # C(C+1), 2C^2HW
+        OpKind.CONV3: ([s], [s], 1308, 41472),                       # C(9C+1), 18C^2HW
+        OpKind.CONV_DEPTH3: ([s], [s], 108, 3456),                   # 9C, 18CHW
+        OpKind.CONV_DEPTH5: ([s], [s], 300, 9600),                   # 25C, 50CHW
+        OpKind.BATCH_NORM: ([s], [s], 24, 384),                      # 2C, 2CHW
+        OpKind.LAYER_NORM: ([s], [s], 24, 384),                      # 2C, 2CHW
+        OpKind.REL_POS_BIAS: ([s], [s], 5, 192),                     # 4.5 half-up, CHW
+        OpKind.CHUNK2: ([s], [Shape(6, 4, 4)] * 2, 0, 0),
+        OpKind.CHUNK3: ([s], [Shape(4, 4, 4)] * 3, 0, 0),
+        OpKind.COPY: ([s], x2, 0, 0),
+        OpKind.CONCAT2: (x2, [Shape(24, 4, 4)], 0, 0),
+        OpKind.CONCAT3: (x3, [Shape(36, 4, 4)], 0, 0),
+        OpKind.ADD: (x2, [s], 0, 192),                               # CHW
+        OpKind.CONV_CHUNK3: ([s], x3, 468, 13824),                   # 3C(C+1), 6C^2HW
+        OpKind.CONV_EXP4: ([s], [Shape(48, 4, 4)], 624, 18432),      # 4C(C+1), 8C^2HW
+        OpKind.CONV_RED4: ([s], [Shape(3, 4, 4)], 624, 18432),       # 4C(C+1), 8C^2HW
+        OpKind.MULTIPLY: (x2, [s], 0, 768),                          # 4CHW
+        OpKind.MATMUL1: (x2, [Shape(1, 16, 16)], 0, 6144),           # 2CH^2W^2
+        OpKind.MATMUL2: ([Shape(1, 16, 16), s], [s], 0, 6144),       # 2CH^2W^2
+        OpKind.GLOBAL_AVG: ([s], [Shape(12, 1, 1)], 0, 192),         # CHW
+        OpKind.UP_SAMPLE: ([Shape(12, 1, 1)], [s], 0, 192),          # CHW of the output
+    }
+    assert set(table) == set(OpKind)
+    for op, (ins, outs, params, flops) in table.items():
+        got = transfer(op, ins, upsample_target=(4, 4))
+        assert list(got) == outs, op
+        assert op_cost(op, ins, got) == (params, flops), op
+
+
 def test_softmax_cost():
     s = Shape(2, 3, 4)
     assert op_cost(OpKind.SOFTMAX, [s], [s]) == (0, 2 * 3 * (3 * 4 - 1))
