@@ -19,7 +19,7 @@ from typing import Optional
 
 from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
 from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
-from .ops import CONV, Cost, OpKind, Shape, ZERO_COST, conv2d_cost, op_cost
+from .ops import OP_INFO, Cost, OpKind, Shape, ZERO_COST, conv2d_cost, op_cost
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ def block_cost(block: BlockGraph, shapes: Optional[dict[int, NodeShapes]] = None
 
 def fused_conv_cost(op: OpKind, c_in: int, block_shape: Shape) -> Cost:
     """Cost of a block-leading conv when it consumes c_in channels instead of block C."""
-    kernel, mult = CONV[op]
-    c_out = mult * block_shape.c
-    return conv2d_cost(c_in, c_out, kernel, block_shape.h, block_shape.w)
+    conv = OP_INFO[op].conv
+    return conv2d_cost(c_in, conv.mult * block_shape.c, conv.kernel, block_shape.h, block_shape.w)
 
 
 def stem_cost(in_channels: int, stem_channels: int, resolution: tuple[int, int]) -> tuple[tuple[str, Cost], ...]:
@@ -95,7 +94,10 @@ class TransitionCost:
     pool: Cost
     projection: Optional[Cost]      # None when fused
     fusion_adjustment: Cost         # zero when not fused
-    fused: bool
+
+    @property
+    def fused(self) -> bool:
+        return self.projection is None
 
     @property
     def total(self) -> Cost:
@@ -113,8 +115,8 @@ def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> T
     pool = pool_cost(c_in, st.spatial)
     if first_op in FUSABLE_OPS:
         adj = fused_conv_cost(first_op, c_in, st.shape) - fused_conv_cost(first_op, st.channels, st.shape)
-        return TransitionCost(pool, None, adj, True)
-    return TransitionCost(pool, conv2d_cost(c_in, st.channels, 1, *st.spatial), ZERO_COST, False)
+        return TransitionCost(pool, None, adj)
+    return TransitionCost(pool, conv2d_cost(c_in, st.channels, 1, *st.spatial), ZERO_COST)
 
 
 def skeleton_cost(spec: NetworkSpec):

@@ -155,6 +155,14 @@ def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
     return _infer_in_order(block, topo_order(block))
 
 
+def upsample_source(block: BlockGraph, v: int, resolved: dict):
+    """resolved[g] for the GlobalAvg g coupled to UpSample node v, whose input size v restores."""
+    gavg = next((p for p in block.couples.get(v, ()) if block.ops.get(p) is OpKind.GLOBAL_AVG), None)
+    if gavg is None or gavg not in resolved:
+        raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
+    return resolved[gavg]
+
+
 def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes]:
     """infer_shapes along an order the caller has already computed."""
     producers: dict[tuple[int, int], Shape] = {(INPUT, 0): block.input_shape}
@@ -168,14 +176,7 @@ def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes
             if key not in producers:
                 raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
             ins.append(producers[key])
-        target = None
-        if op is OpKind.UP_SAMPLE:
-            partners = block.couples.get(v, ())
-            gavg = next((p for p in partners if block.ops.get(p) is OpKind.GLOBAL_AVG), None)
-            if gavg is None or gavg not in result:
-                raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
-            src = result[gavg].in_shapes[0]
-            target = (src.h, src.w)
+        target = upsample_source(block, v, result).in_shapes[0][1:] if op is OpKind.UP_SAMPLE else None
         outs = transfer(op, ins, node=v, upsample_target=target)
         result[v] = NodeShapes(tuple(ins), outs)
         for port, s in enumerate(outs):

@@ -21,8 +21,8 @@ Reverse mode: ``forward_tape`` records every value of a forward, and
 ``vjp_rows`` runs one backward sweep over it with a backward rule per op,
 for many output cotangents ("rows") at once; see the notes above ``Tape``.
 
-Parameter initialization: conv weights ~ N(0, 2/fan_in), biases zero,
-norm scales one, shifts zero, relative-position tables zero.
+Parameter initialization allocates each op's ``OP_INFO`` tensors: a weight
+~ N(0, 2/fan_in) over its dims after the first, a scale ones, the rest zeros.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph import BlockGraph, INPUT, OUTPUT, _by_dst_port, infer_shapes, topo_order
+from .graph import BlockGraph, INPUT, OUTPUT, _by_dst_port, infer_shapes, topo_order, upsample_source
 from .network import ExecutablePlan
-from .ops import CONV, DEPTHWISE, OP_INFO, OpKind, rel_pos_bias_table
+from .ops import OP_INFO, OpKind
 from .rng import Rng
 
 _BN_EPS = 1e-5
@@ -51,8 +51,8 @@ class ParamStore:
         return sum(int(a.size) for node in self.tensors.values() for a in node.values())
 
 
-def _he_weight(rng: Rng, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    return rng.normal(shape, std=math.sqrt(2.0 / fan_in))
+def _he_weight(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
+    return rng.normal(shape, std=math.sqrt(2.0 / math.prod(shape[1:])))
 
 
 def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = None) -> ParamStore:
@@ -65,27 +65,17 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
     first = block.first_interior()
     store = ParamStore()
     for v in topo_order(block):
-        op = block.ops[v]
-        s = shapes[v].in_shapes[0] if shapes[v].in_shapes else None
-        c_in = s.c if s else 0
-        if v == first and entry_in_channels is not None:
-            c_in = entry_in_channels
+        tensors = OP_INFO[block.ops[v]].tensors
+        if tensors is None:
+            continue
+        s = shapes[v].in_shapes[0]
+        c_in = entry_in_channels if v == first and entry_in_channels is not None else s.c
         node_rng = rng.child(v)
-        p: dict[str, np.ndarray] = {}
-        if op in CONV:
-            k, m = CONV[op]
-            p["weight"] = _he_weight(node_rng, (m * s.c, c_in, k, k), k * k * c_in)
-            p["bias"] = np.zeros(m * s.c)
-        elif op in DEPTHWISE:
-            k = DEPTHWISE[op]
-            p["weight"] = _he_weight(node_rng, (s.c, k, k), k * k)
-        elif op in (OpKind.BATCH_NORM, OpKind.LAYER_NORM):
-            p["scale"] = np.ones(s.c)
-            p["shift"] = np.zeros(s.c)
-        elif op is OpKind.REL_POS_BIAS:
-            p["table"] = np.zeros(rel_pos_bias_table(s.h, s.w))
-        if p:
-            store.tensors[v] = p
+        store.tensors[v] = {
+            name: _he_weight(node_rng, shape) if name == "weight"
+            else np.ones(shape) if name == "scale" else np.zeros(shape)
+            for name, shape in tensors(s, c_in).items()
+        }
     return store
 
 
@@ -188,57 +178,61 @@ def _band(h):
     return np.abs(hh - ww) <= 5
 
 
-def _exec_node(op, ins, params):
-    x = ins[0]
-    if op is OpKind.SOFTMAX:
-        return [_softmax_last(x)]
-    if op is OpKind.DROPOUT:
-        return [x]
-    if op is OpKind.MAXPOOL:
-        return [maxpool2d(x)]
-    if op is OpKind.MASK:
-        return [x * _band(x.shape[2])[None, None, :, :]]
-    if op is OpKind.SIGMOID:
-        return [sigmoid(x)]
-    if op is OpKind.GELU:
-        return [gelu(x)]
-    if op in CONV:
-        y = conv2d(x, params["weight"], params["bias"], padding=CONV[op][0] // 2)
-        if op is OpKind.CONV_RED4:
-            n, c4, h, w = y.shape
-            y = y.reshape(n, c4 // 16, 16, h, w).mean(axis=2)
-        return np.split(y, OP_INFO[op].out_arity, axis=1)
-    if op in DEPTHWISE:
-        return [depthwise_conv2d(x, params["weight"], padding=DEPTHWISE[op] // 2)]
-    if op is OpKind.BATCH_NORM:
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        xn = (x - mu) / np.sqrt(var + _BN_EPS)
-        return [xn * params["scale"][None, :, None, None] + params["shift"][None, :, None, None]]
-    if op is OpKind.LAYER_NORM:
-        mu = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
-        xn = (x - mu) / np.sqrt(var + _LN_EPS)
-        return [xn * params["scale"][None, :, None, None] + params["shift"][None, :, None, None]]
-    if op is OpKind.REL_POS_BIAS:
-        return [_rel_pos_add(x, params["table"])]
-    if op in (OpKind.CHUNK2, OpKind.CHUNK3):
-        return np.split(x, OP_INFO[op].out_arity, axis=1)
-    if op is OpKind.COPY:
-        return [x, x.copy()]
-    if op in (OpKind.CONCAT2, OpKind.CONCAT3):
-        return [np.concatenate(ins, axis=1)]
-    if op is OpKind.ADD:
-        return [ins[0] + ins[1]]
-    if op is OpKind.MULTIPLY:
-        return [ins[0] * ins[1]]
-    if op is OpKind.MATMUL1:
-        return [matmul1(ins[0], ins[1])]
-    if op is OpKind.MATMUL2:
-        return [matmul2(ins[0], ins[1])]
-    if op is OpKind.GLOBAL_AVG:
-        return [x.mean(axis=(2, 3), keepdims=True)]
-    raise AssertionError(op)
+def _conv(ins, p, row, _):
+    if row.conv.depthwise:
+        return [depthwise_conv2d(ins[0], p["weight"], padding=row.conv.pad)]
+    y = conv2d(ins[0], p["weight"], p["bias"], padding=row.conv.pad)
+    return np.split(y, row.out_arity, axis=1)
+
+
+def _group_mean(y):  # the fixed mean over groups of 16 channels that ends ConvRed4
+    return y.reshape(y.shape[0], -1, 16, *y.shape[2:]).mean(axis=2)
+
+
+def _norm(axes, eps):
+    def rule(ins, p, *_):
+        x = ins[0]
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        xn = (x - mu) / np.sqrt(var + eps)
+        return [xn * p["scale"][None, :, None, None] + p["shift"][None, :, None, None]]
+    return rule
+
+
+def _split(ins, p, row, _):
+    return np.split(ins[0], row.out_arity, axis=1)
+
+
+def _concat(ins, *_):
+    return [np.concatenate(ins, axis=1)]
+
+
+# op -> forward rule (inputs, parameter tensors, OP_INFO row, UpSample target
+# size) -> outputs, each a (N,C,H,W) array.
+_FORWARD = {
+    OpKind.SOFTMAX: lambda ins, *_: [_softmax_last(ins[0])],
+    OpKind.DROPOUT: lambda ins, *_: [ins[0]],
+    OpKind.MAXPOOL: lambda ins, *_: [maxpool2d(ins[0])],
+    OpKind.MASK: lambda ins, *_: [ins[0] * _band(ins[0].shape[2])[None, None, :, :]],
+    OpKind.SIGMOID: lambda ins, *_: [sigmoid(ins[0])],
+    OpKind.GELU: lambda ins, *_: [gelu(ins[0])],
+    **{op: _conv for op, row in OP_INFO.items() if row.conv},
+    OpKind.BATCH_NORM: _norm((0, 2, 3), _BN_EPS),
+    OpKind.LAYER_NORM: _norm(1, _LN_EPS),
+    OpKind.REL_POS_BIAS: lambda ins, p, *_: [_rel_pos_add(ins[0], p["table"])],
+    OpKind.CHUNK2: _split,
+    OpKind.CHUNK3: _split,
+    OpKind.COPY: lambda ins, *_: [ins[0], ins[0].copy()],
+    OpKind.CONCAT2: _concat,
+    OpKind.CONCAT3: _concat,
+    OpKind.ADD: lambda ins, *_: [ins[0] + ins[1]],
+    OpKind.CONV_RED4: lambda *args: [_group_mean(_conv(*args)[0])],
+    OpKind.MULTIPLY: lambda ins, *_: [ins[0] * ins[1]],
+    OpKind.MATMUL1: lambda ins, *_: [matmul1(ins[0], ins[1])],
+    OpKind.MATMUL2: lambda ins, *_: [matmul2(ins[0], ins[1])],
+    OpKind.GLOBAL_AVG: lambda ins, *_: [ins[0].mean(axis=(2, 3), keepdims=True)],
+    OpKind.UP_SAMPLE: lambda ins, p, row, hw: [np.broadcast_to(ins[0], (*ins[0].shape[:2], *hw)).copy()],
+}
 
 
 def _run(block, params, x, entry_in_channels=None):
@@ -249,20 +243,13 @@ def _run(block, params, x, entry_in_channels=None):
         raise ShapeMismatch(INPUT, want, tuple(x.shape[1:]))
 
     produced: dict[tuple[int, int], np.ndarray] = {(INPUT, 0): x}
-    gavg_spatial: dict[int, tuple[int, int]] = {}
+    node_ins: dict[int, list[np.ndarray]] = {}
     in_edges = block.ports.ins
     for v in topo_order(block):
         op = block.ops[v]
-        ins = [produced[(e.src, e.src_port)] for e in _by_dst_port(in_edges.get(v, []))]
-        if op is OpKind.GLOBAL_AVG:
-            gavg_spatial[v] = ins[0].shape[2:]
-        if op is OpKind.UP_SAMPLE:
-            partners = block.couples.get(v, ())
-            gavg = next(p for p in partners if block.ops.get(p) is OpKind.GLOBAL_AVG)
-            th, tw = gavg_spatial[gavg]
-            outs = [np.broadcast_to(ins[0], (*ins[0].shape[:2], th, tw)).copy()]
-        else:
-            outs = _exec_node(op, ins, params.tensors.get(v, {}))
+        ins = node_ins[v] = [produced[(e.src, e.src_port)] for e in _by_dst_port(in_edges.get(v, []))]
+        hw = upsample_source(block, v, node_ins)[0].shape[2:] if op is OpKind.UP_SAMPLE else None
+        outs = _FORWARD[op](ins, params.tensors.get(v, {}), OP_INFO[op], hw)
         for port, arr in enumerate(outs):
             produced[(v, port)] = arr
     out_edge = in_edges[OUTPUT][0]
@@ -438,11 +425,10 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
             return one(g)
     if op is OpKind.CONV_RED4:
         g = np.repeat(g, 16, axis=2) / 16.0
-    if op in CONV:
-        gx, grads = _conv_vjp(g, x, params["weight"], CONV[op][0] // 2, align, want[0])
-        return [gx], grads
-    if op in DEPTHWISE:
-        gx, grads = _depthwise_vjp(g, x, params["weight"], DEPTHWISE[op] // 2, align, want[0])
+    conv = OP_INFO[op].conv
+    if conv is not None:
+        vjp = _depthwise_vjp if conv.depthwise else _conv_vjp
+        gx, grads = vjp(g, x, params["weight"], conv.pad, align, want[0])
         return [gx], grads
     if op is OpKind.BATCH_NORM:
         # Rows are full here: statistics couple every sample of the batch.
@@ -569,8 +555,8 @@ def init_network_params(plan: ExecutablePlan, rng: Rng) -> NetworkParams:
     spec = plan.spec
     s = spec.stem_out_channels
     stem = (
-        (_he_weight(rng.child(0, 0), (s, spec.in_channels, 3, 3), 9 * spec.in_channels), np.zeros(s)),
-        (_he_weight(rng.child(0, 1), (s, s, 3, 3), 9 * s), np.zeros(s)),
+        (_he_weight(rng.child(0, 0), (s, spec.in_channels, 3, 3)), np.zeros(s)),
+        (_he_weight(rng.child(0, 1), (s, s, 3, 3)), np.zeros(s)),
     )
     projections = []
     for si, bi in enumerate(spec.stage_first_positions()):
@@ -578,14 +564,13 @@ def init_network_params(plan: ExecutablePlan, rng: Rng) -> NetworkParams:
             projections.append(None)
         else:
             c_in, c_out = spec.stage_entry(si)[0], spec.stages[si].channels
-            w = _he_weight(rng.child(1, si), (c_out, c_in, 1, 1), c_in)
+            w = _he_weight(rng.child(1, si), (c_out, c_in, 1, 1))
             projections.append((w, np.zeros(c_out)))
     blocks = tuple(
         init_params(b, rng.child(2, i), entry_in_channels=plan.fused_entry[i])
         for i, b in enumerate(spec.blocks)
     )
-    c_last = spec.stages[-1].channels
-    head_w = _he_weight(rng.child(3), (spec.num_classes, c_last), c_last)
+    head_w = _he_weight(rng.child(3), (spec.num_classes, spec.stages[-1].channels))
     return NetworkParams(stem, tuple(projections), blocks, (head_w, np.zeros(spec.num_classes)))
 
 

@@ -11,7 +11,14 @@ import re
 import numpy as np
 
 import archspace as a
-from archspace.errors import CycleDetected, GraphError, InfeasibleEdit
+from archspace.errors import (
+    CycleDetected,
+    DivisibilityViolation,
+    GraphError,
+    InfeasibleEdit,
+    NonSquareSpatial,
+    ShapeMismatch,
+)
 from archspace.graph import (
     INPUT,
     OUTPUT,
@@ -24,8 +31,21 @@ from archspace.graph import (
     successor_map,
     topo_order,
 )
+from archspace.interpreter import (
+    ParamStore,
+    _band,
+    _rel_pos_add,
+    _softmax_last,
+    conv2d,
+    depthwise_conv2d,
+    gelu,
+    maxpool2d,
+    matmul1,
+    matmul2,
+    sigmoid,
+)
 from archspace.mutation import Edit, apply_block_edit
-from archspace.ops import COUPLED_ONLY, OP_INFO, OpKind, transfer
+from archspace.ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, rel_pos_bias_table
 
 
 def matmul1_loops(x, y):
@@ -207,7 +227,7 @@ def infer_shapes_oracle(block):
                 raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
             src = result[gavg].in_shapes[0]
             target = (src.h, src.w)
-        outs = transfer(op, ins, node=v, upsample_target=target)
+        outs = transfer_oracle(op, ins, node=v, upsample_target=target)
         result[v] = NodeShapes(tuple(ins), outs)
         for port, s in enumerate(outs):
             producers[(v, port)] = s
@@ -348,3 +368,242 @@ def excise_boundary_oracle(block, doomed):
 
 def out_edges_oracle(block, v):
     return sorted((e for e in block.edges if e.src == v), key=lambda e: e.src_port)
+
+
+# --- per-op rules as `if op is ...` chains ------------------------------------
+#
+# The shape, cost, init and forward rules as they read before each op became one
+# row of ops.OP_INFO: conv geometry in two tables, one branch per op.
+
+CONV = {  # dense convolutions with bias: (kernel, output channels per input channel)
+    OpKind.CONV1: (1, 1),
+    OpKind.CONV3: (3, 1),
+    OpKind.CONV_CHUNK3: (1, 3),
+    OpKind.CONV_EXP4: (1, 4),
+    OpKind.CONV_RED4: (1, 4),
+}
+DEPTHWISE = {OpKind.CONV_DEPTH3: 3, OpKind.CONV_DEPTH5: 5}  # no bias: kernel
+PRESERVES_SHAPE = frozenset({  # one input, one output of the input's shape
+    OpKind.SOFTMAX, OpKind.DROPOUT, OpKind.MAXPOOL, OpKind.MASK, OpKind.SIGMOID, OpKind.GELU,
+    OpKind.CONV1, OpKind.CONV3, OpKind.CONV_DEPTH3, OpKind.CONV_DEPTH5, OpKind.BATCH_NORM,
+    OpKind.LAYER_NORM, OpKind.REL_POS_BIAS,
+})
+
+
+def _isqrt_exact(n):
+    r = math.isqrt(n)
+    return r if r * r == n else None
+
+
+def transfer_oracle(op, in_shapes, node="?", upsample_target=None):
+    info = OP_INFO[op]
+    if len(in_shapes) != info.in_arity:
+        raise GraphError(f"node {node}: {op.value} takes {info.in_arity} inputs, got {len(in_shapes)}")
+    s = in_shapes[0]
+
+    if op in PRESERVES_SHAPE:
+        if op is OpKind.MASK and s.h != s.w:
+            raise NonSquareSpatial(node, f"Mask requires H == W, got {s}")
+        if op is OpKind.REL_POS_BIAS:
+            if _isqrt_exact(s.h) is None or _isqrt_exact(s.w) is None:
+                raise NonSquareSpatial(node, f"RelPosBias requires integer sqrt(H), sqrt(W), got {s}")
+        return (s,)
+
+    if op is OpKind.CHUNK2:
+        if s.c % 2:
+            raise DivisibilityViolation(node, f"Chunk2 requires C divisible by 2, got C={s.c}")
+        return (Shape(s.c // 2, s.h, s.w),) * 2
+    if op is OpKind.CHUNK3:
+        if s.c % 3:
+            raise DivisibilityViolation(node, f"Chunk3 requires C divisible by 3, got C={s.c}")
+        return (Shape(s.c // 3, s.h, s.w),) * 3
+    if op is OpKind.COPY:
+        return (s, s)
+    if op in (OpKind.CONCAT2, OpKind.CONCAT3):
+        for other in in_shapes[1:]:
+            if other != s:
+                raise ShapeMismatch(node, s, other)
+        return (Shape(s.c * len(in_shapes), s.h, s.w),)
+    if op in (OpKind.ADD, OpKind.MULTIPLY):
+        if in_shapes[1] != s:
+            raise ShapeMismatch(node, s, in_shapes[1])
+        return (s,)
+    if op is OpKind.CONV_CHUNK3:
+        return (s, s, s)
+    if op is OpKind.CONV_EXP4:
+        return (Shape(4 * s.c, s.h, s.w),)
+    if op is OpKind.CONV_RED4:
+        if s.c % 4:
+            raise DivisibilityViolation(node, f"ConvRed4 requires C divisible by 4, got C={s.c}")
+        return (Shape(s.c // 4, s.h, s.w),)
+    if op is OpKind.MATMUL1:
+        if in_shapes[1] != s:
+            raise ShapeMismatch(node, s, in_shapes[1])
+        return (Shape(1, s.h * s.h, s.w * s.w),)
+    if op is OpKind.MATMUL2:
+        y = in_shapes[1]
+        want = Shape(1, y.h * y.h, y.w * y.w)
+        if s != want:
+            raise ShapeMismatch(node, want, s)
+        return (y,)
+    if op is OpKind.GLOBAL_AVG:
+        return (Shape(s.c, 1, 1),)
+    if op is OpKind.UP_SAMPLE:
+        if (s.h, s.w) != (1, 1):
+            raise ShapeMismatch(node, Shape(s.c, 1, 1), s)
+        if upsample_target is None:
+            raise GraphError(f"node {node}: UpSample has no coupled GlobalAvg to define its target size")
+        return (Shape(s.c, upsample_target[0], upsample_target[1]),)
+    raise AssertionError(op)
+
+
+def _conv2d_cost(c_in, c_out, kernel, out_h, out_w):
+    return Cost(c_out * (kernel * kernel * c_in + 1), 2 * kernel * kernel * c_in * c_out * out_h * out_w)
+
+
+def op_cost_oracle(op, in_shapes, out_shapes):
+    s = in_shapes[0]
+    c, h, w = s
+    chw = c * h * w
+    if op is OpKind.SOFTMAX:
+        return Cost(0, c * h * (3 * w - 1))
+    if op in (OpKind.DROPOUT, OpKind.MASK):
+        return Cost(0, chw)
+    if op is OpKind.MAXPOOL:
+        return Cost(0, 9 * chw)
+    if op in (OpKind.SIGMOID, OpKind.GELU):
+        return Cost(0, 3 * chw)
+    if op in CONV:
+        k, m = CONV[op]
+        return _conv2d_cost(c, m * c, k, h, w)
+    if op in DEPTHWISE:
+        k = DEPTHWISE[op]
+        return Cost(k * k * c, 2 * k * k * chw)
+    if op in (OpKind.BATCH_NORM, OpKind.LAYER_NORM):
+        return Cost(2 * c, 2 * chw)
+    if op is OpKind.REL_POS_BIAS:
+        u, v = math.isqrt(h), math.isqrt(w)
+        return Cost(((2 * u - 1) * (2 * v - 1) + 1) // 2, chw)
+    if op in (OpKind.CHUNK2, OpKind.CHUNK3, OpKind.COPY, OpKind.CONCAT2, OpKind.CONCAT3):
+        return ZERO_COST
+    if op is OpKind.ADD:
+        return Cost(0, chw)
+    if op is OpKind.MULTIPLY:
+        return Cost(0, 4 * chw)
+    if op is OpKind.MATMUL1:
+        return Cost(0, 2 * c * h * h * w * w)
+    if op is OpKind.MATMUL2:
+        y = in_shapes[1]
+        return Cost(0, 2 * y.c * y.h * y.h * y.w * y.w)
+    if op is OpKind.GLOBAL_AVG:
+        return Cost(0, chw)
+    if op is OpKind.UP_SAMPLE:
+        o = out_shapes[0]
+        return Cost(0, o.c * o.h * o.w)
+    raise AssertionError(op)
+
+
+def init_params_oracle(block, rng, entry_in_channels=None):
+    shapes = infer_shapes_oracle(block)
+    first = block.first_interior()
+    store = ParamStore()
+    for v in topo_order_oracle(block):
+        op = block.ops[v]
+        s = shapes[v].in_shapes[0] if shapes[v].in_shapes else None
+        c_in = s.c if s else 0
+        if v == first and entry_in_channels is not None:
+            c_in = entry_in_channels
+        node_rng = rng.child(v)
+        p = {}
+        if op in CONV:
+            k, m = CONV[op]
+            p["weight"] = node_rng.normal((m * s.c, c_in, k, k), std=math.sqrt(2.0 / (k * k * c_in)))
+            p["bias"] = np.zeros(m * s.c)
+        elif op in DEPTHWISE:
+            k = DEPTHWISE[op]
+            p["weight"] = node_rng.normal((s.c, k, k), std=math.sqrt(2.0 / (k * k)))
+        elif op in (OpKind.BATCH_NORM, OpKind.LAYER_NORM):
+            p["scale"] = np.ones(s.c)
+            p["shift"] = np.zeros(s.c)
+        elif op is OpKind.REL_POS_BIAS:
+            p["table"] = np.zeros(rel_pos_bias_table(s.h, s.w))
+        if p:
+            store.tensors[v] = p
+    return store
+
+
+def exec_node_oracle(op, ins, params):
+    x = ins[0]
+    if op is OpKind.SOFTMAX:
+        return [_softmax_last(x)]
+    if op is OpKind.DROPOUT:
+        return [x]
+    if op is OpKind.MAXPOOL:
+        return [maxpool2d(x)]
+    if op is OpKind.MASK:
+        return [x * _band(x.shape[2])[None, None, :, :]]
+    if op is OpKind.SIGMOID:
+        return [sigmoid(x)]
+    if op is OpKind.GELU:
+        return [gelu(x)]
+    if op in CONV:
+        y = conv2d(x, params["weight"], params["bias"], padding=CONV[op][0] // 2)
+        if op is OpKind.CONV_RED4:
+            n, c4, h, w = y.shape
+            y = y.reshape(n, c4 // 16, 16, h, w).mean(axis=2)
+        return np.split(y, OP_INFO[op].out_arity, axis=1)
+    if op in DEPTHWISE:
+        return [depthwise_conv2d(x, params["weight"], padding=DEPTHWISE[op] // 2)]
+    if op is OpKind.BATCH_NORM:
+        mu = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), keepdims=True)
+        xn = (x - mu) / np.sqrt(var + 1e-5)
+        return [xn * params["scale"][None, :, None, None] + params["shift"][None, :, None, None]]
+    if op is OpKind.LAYER_NORM:
+        mu = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
+        xn = (x - mu) / np.sqrt(var + 1e-5)
+        return [xn * params["scale"][None, :, None, None] + params["shift"][None, :, None, None]]
+    if op is OpKind.REL_POS_BIAS:
+        return [_rel_pos_add(x, params["table"])]
+    if op in (OpKind.CHUNK2, OpKind.CHUNK3):
+        return np.split(x, OP_INFO[op].out_arity, axis=1)
+    if op is OpKind.COPY:
+        return [x, x.copy()]
+    if op in (OpKind.CONCAT2, OpKind.CONCAT3):
+        return [np.concatenate(ins, axis=1)]
+    if op is OpKind.ADD:
+        return [ins[0] + ins[1]]
+    if op is OpKind.MULTIPLY:
+        return [ins[0] * ins[1]]
+    if op is OpKind.MATMUL1:
+        return [matmul1(ins[0], ins[1])]
+    if op is OpKind.MATMUL2:
+        return [matmul2(ins[0], ins[1])]
+    if op is OpKind.GLOBAL_AVG:
+        return [x.mean(axis=(2, 3), keepdims=True)]
+    raise AssertionError(op)
+
+
+def forward_oracle(block, params, x):
+    """The block output on a (N,C,H,W) batch, one exec_node_oracle call per node."""
+    in_adj = {}
+    for e in block.edges:
+        in_adj.setdefault(e.dst, []).append(e)
+    produced = {(INPUT, 0): x}
+    gavg_spatial = {}
+    for v in topo_order_oracle(block):
+        op = block.ops[v]
+        ins = [produced[(e.src, e.src_port)] for e in sorted(in_adj[v], key=lambda e: e.dst_port)]
+        if op is OpKind.GLOBAL_AVG:
+            gavg_spatial[v] = ins[0].shape[2:]
+        if op is OpKind.UP_SAMPLE:
+            gavg = next(p for p in block.couples[v] if block.ops.get(p) is OpKind.GLOBAL_AVG)
+            th, tw = gavg_spatial[gavg]
+            outs = [np.broadcast_to(ins[0], (*ins[0].shape[:2], th, tw)).copy()]
+        else:
+            outs = exec_node_oracle(op, ins, params.tensors.get(v, {}))
+        for port, arr in enumerate(outs):
+            produced[(v, port)] = arr
+    e = in_adj[OUTPUT][0]
+    return produced[(e.src, e.src_port)]

@@ -1,7 +1,10 @@
-"""Every module-level import in the package's modules is used.
+"""Every module-level import in the package's modules is used, and so is
+every module-level private name.
 
 A name an import binds must be referenced somewhere in its module.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt: its imports are the package's re-exports.  A
+private function, class or constant (a name with a leading underscore)
+must be referenced by some module of the package.
 """
 
 import ast
@@ -27,3 +30,34 @@ def test_no_unused_module_imports():
     assert modules
     unused = [u for p in modules for u in _unused_imports(p)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    refs = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def test_no_orphaned_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    referenced = set().union(*(_references(t) for t in trees.values()))
+    orphans = [f"{name}: {d}" for name, t in trees.items() for d in _private_definitions(t)
+               if d not in referenced]
+    assert orphans == []

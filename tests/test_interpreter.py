@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import archspace as a
-from archspace.graph import BlockGraph, GraphAssembler, INPUT, OUTPUT, infer_shapes
+from archspace.errors import GraphError
+from archspace.graph import BlockGraph, Edge, GraphAssembler, INPUT, OUTPUT, infer_shapes
 from archspace.interpreter import (
+    ParamStore,
     erf,
     forward,
     forward_network,
@@ -280,6 +282,18 @@ def test_upsample_restores_coupled_spatial():
     store = init_params(blk, Rng(0))
     y = forward(blk, store, Rng(1).normal((2, 3, 5, 7)))
     assert y.shape == (2, 3, 5, 7)
+
+
+def test_uncoupled_upsample_raises_the_shape_inference_error():
+    # INPUT -> GlobalAvg -> UpSample -> OUTPUT with no couples: forward fails
+    # the way infer_shapes does, not with a bare StopIteration.
+    blk = BlockGraph(Shape(2, 3, 3), {2: OpKind.GLOBAL_AVG, 3: OpKind.UP_SAMPLE},
+                     (Edge(INPUT, 0, 2, 0), Edge(2, 0, 3, 0), Edge(3, 0, OUTPUT, 0)), {}, 4)
+    msg = "node 3: UpSample has no resolved coupled GlobalAvg"
+    with pytest.raises(GraphError, match=msg):
+        infer_shapes(blk)
+    with pytest.raises(GraphError, match=msg):
+        forward(blk, ParamStore(), np.zeros((1, 2, 3, 3)))
 
 
 def test_erf_and_sigmoid_match_scipy_within_4_ulp():
