@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import archspace as a
@@ -113,6 +115,31 @@ def test_evolve_with_vkdnw_on_tiny_network():
     assert not a.validate_network(best)
     scores = [r["score"] for r in log.records]
     assert all(0.0 <= s <= 2.1973 for s in scores)
+
+
+# sha256 of (log.to_jsonl(), serialize(best)) for 200 c08 iterations on the
+# desk network.  A deliberate change of these bytes updates the pins and is
+# recorded in CHANGES.md.
+EVOLVE_PINS = {
+    ProxyId.NEG_FLOPS: ("4b14e7d8bb0926821d63eef24b0dce7b9eab3a8497980712d77bb1b760e92caa",
+                        "ba3d95157edb36ba63cad3e98677bf387775885f971909bcd3ba178224a92d92"),
+    ProxyId.NEG_PARAMS: ("0fbe4dfabd7e9590127fe789da55b66b5619b0b7cc6541d77a9ff330cf7ae162",
+                         "2ac62a4de9db7886aafc5d9bd20e095f1e47db4c463605fe6c2bdaf20ab0dea4"),
+}
+
+
+def _c08_evo(proxy):
+    return EvoConfig(total_steps=200, population_size=16, steps_per_candidate=5,
+                     proxy_id=proxy, seed=0xC8,
+                     budget=a.Budget(50_000, 250_000, 1_000_000, 20_000_000), p_eliminate=0.4)
+
+
+@pytest.mark.parametrize("proxy", list(EVOLVE_PINS), ids=lambda p: p.value)
+def test_evolve_bytes_are_pinned(desk_spec, proxy):
+    best, log = evolve(desk_spec, _c08_evo(proxy))
+    got = (hashlib.sha256(log.to_jsonl().encode()).hexdigest(),
+           hashlib.sha256(a.serialize(best)).hexdigest())
+    assert got == EVOLVE_PINS[proxy]
 
 
 def test_all_logged_networks_satisfy_budget(desk_spec):
