@@ -79,6 +79,10 @@ class OpKind(Enum):
     GLOBAL_AVG = "GlobalAvg"
     UP_SAMPLE = "UpSample"
 
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # where Enum's own hash of the name is Python code.
+    __hash__ = object.__hash__
+
 
 OP_BY_NAME = {op.value: op for op in OpKind}
 

@@ -37,6 +37,7 @@ from .cost import network_cost
 from .graph import OUTPUT, BlockGraph, topo_order
 from .interpreter import ParamStore, forward, forward_tape, init_params, vjp_rows
 from .network import NetworkSpec
+from .ops import Cost
 from .rng import Rng
 
 DEFAULT_BATCH = 64
@@ -52,6 +53,11 @@ class ProxyId(Enum):
     NEG_FLOPS = "negflops"
     RANDOM = "random"
 
+    @property
+    def reads_cost(self) -> bool:
+        """negparams / negflops score a network from its cost total alone."""
+        return self is ProxyId.NEG_PARAMS or self is ProxyId.NEG_FLOPS
+
 
 @dataclass(frozen=True)
 class FisherSpectrum:
@@ -66,12 +72,11 @@ class ProxyScore:
     proxy_id: ProxyId
 
     def to_json(self) -> dict:
-        return {
-            "proxy_id": self.proxy_id.value,
-            "value": self.value,
-            "per_block": list(self.per_block),
-            "scored_parameters": "block parameters only",
-        }
+        out = {"proxy_id": self.proxy_id.value, "value": self.value,
+               "per_block": list(self.per_block)}
+        if self.proxy_id is ProxyId.VKDNW:
+            out["scored_parameters"] = "block parameters only"
+        return out
 
 
 def _param_entries(block: BlockGraph, store: ParamStore) -> list[tuple[int, str, np.ndarray]]:
@@ -188,6 +193,14 @@ def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
     return vkdnw_score(spectrum_of(block_gradients(block, store, batch, u)))
 
 
+def cost_score(total: Cost, proxy_id: ProxyId) -> ProxyScore:
+    """A cost proxy's score: the negated params or FLOPs of a network total."""
+    if not proxy_id.reads_cost:
+        raise ValueError(f"{proxy_id.value} is not a cost proxy")
+    v = total.params if proxy_id is ProxyId.NEG_PARAMS else total.flops
+    return ProxyScore(-float(v), (), proxy_id)
+
+
 def score_network(
     spec: NetworkSpec,
     proxy_id: ProxyId,
@@ -197,10 +210,8 @@ def score_network(
 ) -> ProxyScore:
     """Score a network; per-block streams derive from (rng, block index),
     so serial and threaded runs produce identical values."""
-    if proxy_id is ProxyId.NEG_PARAMS or proxy_id is ProxyId.NEG_FLOPS:
-        total = network_cost(spec).total
-        v = -float(total.params if proxy_id is ProxyId.NEG_PARAMS else total.flops)
-        return ProxyScore(v, (), proxy_id)
+    if proxy_id.reads_cost:
+        return cost_score(network_cost(spec).total, proxy_id)
     if proxy_id is ProxyId.RANDOM:
         return ProxyScore(rng.uniform(), (), proxy_id)
 

@@ -6,7 +6,10 @@ selection: the population starts as population_size copies of the seed
 (scored once), each iteration mutates a uniformly chosen parent for
 steps_per_candidate steps, scores the child, inserts it and keeps the top
 population_size.  With a full population from the start, the population
-minimum score is non-decreasing over iterations.
+minimum score is non-decreasing over iterations.  The cost proxies
+(negparams, negflops) score a candidate from its ledger total, which is
+exact (``network_cost`` is its test oracle over whole populations); vkdnw
+and random score the network itself.
 
 Determinism: all randomness derives from (seed, step index) via keyed
 streams, so results are independent of thread scheduling; a NoOp mutation
@@ -23,7 +26,7 @@ from .cost import Budget
 from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
 from .network import NetworkSpec, assemble_network
-from .proxy import DEFAULT_BATCH, ProxyId, score_network
+from .proxy import DEFAULT_BATCH, ProxyId, cost_score, score_network
 from .rng import Rng
 from .serialize import canonical_json
 
@@ -186,12 +189,20 @@ def size_orthogonality_report(
     }
 
 
+def _score(state: CostState, cfg: EvoConfig, root: Rng, step: int) -> float:
+    """The candidate's proxy score: a cost proxy reads the ledger total, any
+    other proxy scores the network with stream (2, step)."""
+    if cfg.proxy_id.reads_cost:
+        return cost_score(state.total, cfg.proxy_id).value
+    return score_network(state.spec, cfg.proxy_id, root.child(2, step),
+                         batch_size=cfg.batch_size, threads=cfg.threads).value
+
+
 def evolve(seed_net: NetworkSpec, cfg: EvoConfig) -> tuple[NetworkSpec, SearchLog]:
     """Proxy-guided truncation search; returns (best network, log)."""
     seed_state = _seed_state(seed_net, cfg.budget)
     root = Rng(cfg.seed)
-    seed_score = score_network(seed_net, cfg.proxy_id, root.child(2, 0),
-                               batch_size=cfg.batch_size, threads=cfg.threads).value
+    seed_score = _score(seed_state, cfg, root, 0)
     # Entries are (score, tiebreak age, state); truncation keeps top scores,
     # preferring older entries on ties so results do not depend on sort internals.
     population = [(seed_score, i, seed_state) for i in range(cfg.population_size)]
@@ -202,8 +213,7 @@ def evolve(seed_net: NetworkSpec, cfg: EvoConfig) -> tuple[NetworkSpec, SearchLo
     for step in range(1, cfg.total_steps + 1):
         pick = root.child(3, step).randbelow(len(population))
         child, edits = _mutate_candidate(population[pick][2], cfg, root.child(1, step))
-        score = score_network(child.spec, cfg.proxy_id, root.child(2, step),
-                              batch_size=cfg.batch_size, threads=cfg.threads).value
+        score = _score(child, cfg, root, step)
         population.append((score, age, child))
         age += 1
         population.sort(key=lambda t: (-t[0], t[1]))

@@ -88,6 +88,26 @@ def test_readme_score_example(tmp_path, capsys):
     assert out["per_block"] == [0.0] * 4 and out["value"] == 0.0
 
 
+def test_score_cli_reports_what_each_proxy_scored(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert run("build", "--variant", "mbconv4,resnet_basic", "--stem", "12",
+               "--resolution", "32", "--stages", "2,2", "--dims", "24,48",
+               "--classes", "10", "--out", str(net)) == 0
+    total = a.network_cost(parse_document(net.read_bytes())).total
+    capsys.readouterr()
+    for proxy, value in [("negparams", -float(total.params)), ("negflops", -float(total.flops))]:
+        assert run("score", str(net), "--proxy", proxy) == 0
+        out = json.loads(capsys.readouterr().out)
+        # a network total: stem, transitions and head included, so no
+        # "block parameters only" note
+        assert out == {"proxy_id": proxy, "value": value, "per_block": [],
+                       "seed": 0, "batch_size": 64}
+    assert run("score", str(net), "--proxy", "random") == 0
+    assert "scored_parameters" not in json.loads(capsys.readouterr().out)
+    assert run("score", str(net), "--proxy", "vkdnw", "--batch-size", "10") == 0
+    assert json.loads(capsys.readouterr().out)["scored_parameters"] == "block parameters only"
+
+
 # sha256 of the README pipeline's outputs.  A deliberate change of these
 # bytes updates the pins and is recorded in CHANGES.md.
 README_PINS = {

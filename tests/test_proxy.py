@@ -10,6 +10,7 @@ from archspace.ops import OpKind, Shape
 from archspace.proxy import (
     FisherSpectrum,
     ProxyId,
+    cost_score,
     fd_gradients,
     score_network,
     spectrum_of,
@@ -161,6 +162,20 @@ def test_negparams_is_negated_overhead_for_identity_config():
     spec = a.make_network(4, (32, 32), (1, 1), (8, 16), 10)
     score = score_network(spec, ProxyId.NEG_PARAMS, Rng(0))
     assert score.value == -float(a.network_cost(spec).total.params)
+
+
+@pytest.mark.parametrize("proxy, field", [(ProxyId.NEG_PARAMS, 0), (ProxyId.NEG_FLOPS, 1)])
+def test_cost_score_negates_the_network_total(desk_spec, proxy, field):
+    total = a.network_cost(desk_spec).total
+    score = cost_score(total, proxy)
+    assert score == a.ProxyScore(-float(total[field]), (), proxy)
+    assert score_network(desk_spec, proxy, Rng(0)) == score
+
+
+@pytest.mark.parametrize("proxy", [ProxyId.VKDNW, ProxyId.RANDOM])
+def test_cost_score_refuses_proxies_that_are_not_costs(proxy):
+    with pytest.raises(ValueError, match="not a cost proxy"):
+        cost_score(a.Cost(1, 1), proxy)
 
 
 def test_small_batch_rejected():

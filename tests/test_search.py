@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import archspace as a
+from archspace import search
 from archspace.errors import AssemblyError, BudgetError
 from archspace.proxy import ProxyId
 from archspace.search import (
@@ -140,6 +141,24 @@ def test_evolve_bytes_are_pinned(desk_spec, proxy):
     got = (hashlib.sha256(log.to_jsonl().encode()).hexdigest(),
            hashlib.sha256(a.serialize(best)).hexdigest())
     assert got == EVOLVE_PINS[proxy]
+
+
+@pytest.mark.parametrize("proxy", list(EVOLVE_PINS), ids=lambda p: p.value)
+def test_every_scored_candidate_has_an_exact_ledger(desk_spec, monkeypatch, proxy):
+    # evolve scores the cost proxies from each candidate's ledger total, so
+    # network_cost and validate_network are the oracles for every candidate.
+    scored = []
+
+    def checked(state, cfg, root, step):
+        assert a.validate_network(state.spec) == []
+        assert state.total == a.network_cost(state.spec).total
+        scored.append(step)
+        return real(state, cfg, root, step)
+
+    real = search._score
+    monkeypatch.setattr(search, "_score", checked)
+    evolve(desk_spec, _c08_evo(proxy))
+    assert scored == list(range(201))
 
 
 def test_all_logged_networks_satisfy_budget(desk_spec):
