@@ -79,8 +79,7 @@ class OpKind(Enum):
     GLOBAL_AVG = "GlobalAvg"
     UP_SAMPLE = "UpSample"
 
-    # Members are singletons, so identity hashing is exact; it runs in C,
-    # where Enum's own hash of the name is Python code.
+    # Members are singletons: hash by identity, in C, not by Enum's Python code.
     __hash__ = object.__hash__
 
 

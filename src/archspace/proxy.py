@@ -21,8 +21,9 @@ block with P >= 10 B has nine zero deciles and scores exactly 0, and there
 is no parameter ceiling.  Central finite differences (``fd_gradients``)
 remain as the test oracle for the gradients.
 
-Baseline proxies for ablation plumbing: negparams / negflops (negated
-network totals, so maximization prefers smaller) and a seeded random draw.
+Baseline proxies for ablation plumbing: negparams / negflops (``cost_score``
+of a network total, negated so maximization prefers smaller; ``evolve``
+passes its ledger total) and a seeded random draw.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ class ProxyId(Enum):
     NEG_FLOPS = "negflops"
     RANDOM = "random"
 
-    @property
-    def reads_cost(self) -> bool:
-        """negparams / negflops score a network from its cost total alone."""
-        return self is ProxyId.NEG_PARAMS or self is ProxyId.NEG_FLOPS
+
+# Each cost proxy and the field of a network's Cost total that it negates.
+COST_PROXIES = {ProxyId.NEG_PARAMS: "params", ProxyId.NEG_FLOPS: "flops"}
 
 
 @dataclass(frozen=True)
@@ -194,11 +194,8 @@ def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
 
 
 def cost_score(total: Cost, proxy_id: ProxyId) -> ProxyScore:
-    """A cost proxy's score: the negated params or FLOPs of a network total."""
-    if not proxy_id.reads_cost:
-        raise ValueError(f"{proxy_id.value} is not a cost proxy")
-    v = total.params if proxy_id is ProxyId.NEG_PARAMS else total.flops
-    return ProxyScore(-float(v), (), proxy_id)
+    """A cost proxy's score of a network total; KeyError for another proxy."""
+    return ProxyScore(-float(getattr(total, COST_PROXIES[proxy_id])), (), proxy_id)
 
 
 def score_network(
@@ -210,7 +207,7 @@ def score_network(
 ) -> ProxyScore:
     """Score a network; per-block streams derive from (rng, block index),
     so serial and threaded runs produce identical values."""
-    if proxy_id.reads_cost:
+    if proxy_id in COST_PROXIES:
         return cost_score(network_cost(spec).total, proxy_id)
     if proxy_id is ProxyId.RANDOM:
         return ProxyScore(rng.uniform(), (), proxy_id)

@@ -6,10 +6,8 @@ selection: the population starts as population_size copies of the seed
 (scored once), each iteration mutates a uniformly chosen parent for
 steps_per_candidate steps, scores the child, inserts it and keeps the top
 population_size.  With a full population from the start, the population
-minimum score is non-decreasing over iterations.  The cost proxies
-(negparams, negflops) score a candidate from its ledger total, which is
-exact (``network_cost`` is its test oracle over whole populations); vkdnw
-and random score the network itself.
+minimum score is non-decreasing over iterations.  A cost proxy scores a
+candidate from its ledger total, which ``network_cost`` checks in the tests.
 
 Determinism: all randomness derives from (seed, step index) via keyed
 streams, so results are independent of thread scheduling; a NoOp mutation
@@ -26,7 +24,7 @@ from .cost import Budget
 from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
 from .network import NetworkSpec, assemble_network
-from .proxy import DEFAULT_BATCH, ProxyId, cost_score, score_network
+from .proxy import COST_PROXIES, DEFAULT_BATCH, ProxyId, cost_score, score_network
 from .rng import Rng
 from .serialize import canonical_json
 
@@ -192,7 +190,7 @@ def size_orthogonality_report(
 def _score(state: CostState, cfg: EvoConfig, root: Rng, step: int) -> float:
     """The candidate's proxy score: a cost proxy reads the ledger total, any
     other proxy scores the network with stream (2, step)."""
-    if cfg.proxy_id.reads_cost:
+    if cfg.proxy_id in COST_PROXIES:
         return cost_score(state.total, cfg.proxy_id).value
     return score_network(state.spec, cfg.proxy_id, root.child(2, step),
                          batch_size=cfg.batch_size, threads=cfg.threads).value
