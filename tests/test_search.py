@@ -147,7 +147,7 @@ def test_evolve_bytes_are_pinned(desk_spec, proxy):
 def test_every_scored_candidate_has_an_exact_ledger(desk_spec, monkeypatch, proxy):
     # evolve scores the cost proxies from each candidate's ledger total, so
     # network_cost and validate_network are the oracles for every candidate.
-    scored = []
+    scored, real = [], search._score
 
     def checked(state, cfg, root, step):
         assert a.validate_network(state.spec) == []
@@ -155,7 +155,6 @@ def test_every_scored_candidate_has_an_exact_ledger(desk_spec, monkeypatch, prox
         scored.append(step)
         return real(state, cfg, root, step)
 
-    real = search._score
     monkeypatch.setattr(search, "_score", checked)
     evolve(desk_spec, _c08_evo(proxy))
     assert scored == list(range(201))
