@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import CycleDetected, GraphError
@@ -42,6 +45,19 @@ class Ports(NamedTuple):
     outs: dict[int, list[Edge]]
 
 
+class _Origin(NamedTuple):
+    """How `child_block` made a block: the parent's edge index, its digest
+    items as they stood (None if not built) and what the edit changed."""
+
+    ports: Ports
+    items: Optional[tuple]
+    dropped: tuple[int, ...]
+    gone: set[Edge]
+    ops: dict[int, OpKind]
+    edges: tuple[Edge, ...]
+    couples: dict[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class BlockGraph:
     input_shape: Shape
@@ -49,6 +65,7 @@ class BlockGraph:
     edges: tuple[Edge, ...]
     couples: dict[int, tuple[int, ...]]          # node -> coupled partners
     next_id: int = 2
+    _origin = None                               # not a field; set by child_block
 
     @staticmethod
     def identity(shape: Shape) -> "BlockGraph":
@@ -68,25 +85,112 @@ class BlockGraph:
 
     @cached_property
     def ports(self) -> Ports:
-        """The edge index, built in one pass over the edges and kept with the
-        block; every reader shares it, so none may modify it."""
-        ins: dict[int, list[Edge]] = {}
-        outs: dict[int, list[Edge]] = {}
+        """The edge index, kept with the block; every reader shares it, so none
+        may modify it.  A child from `child_block` copies its parent's, with
+        fresh lists for the nodes its edit touched; any other block builds it
+        in one pass over the edges."""
+        origin = self._origin
+        if origin is not None:
+            (ins, outs), gone, added = origin.ports, origin.gone, origin.edges
+            return Ports(_reindexed(ins, 2, gone, added), _reindexed(outs, 0, gone, added))
+        ins, outs = {}, {}
         for e in self.edges:
             outs.setdefault(e.src, []).append(e)
             ins.setdefault(e.dst, []).append(e)
         return Ports(ins, outs)
 
     @cached_property
+    def _digest_items(self) -> tuple[tuple[list, list[str]], ...]:
+        """The digest payload's three sections (ops by id, edges, couples by
+        id), each as its sorted keys and the repr of each item in that order.
+        A child whose parent held them takes the parent's, less the items
+        keyed by a dropped node or a removed edge, plus its edit's items."""
+        origin = self._origin
+        if origin is not None and origin.items is not None:
+            gone = ((*origin.dropped, *origin.ops), origin.gone, (*origin.dropped, *origin.couples))
+            added = _digest_sections(origin.ops, origin.edges, origin.couples)
+            return tuple(map(_resorted, origin.items, gone, added))
+        return tuple(_sorted_section(items) for items in _digest_sections(self.ops, self.edges, self.couples))
+
+    @cached_property
     def digest(self) -> str:
-        """Stable fingerprint of the labeled graph (ids, ops, edges, couples)."""
-        payload = repr((
-            tuple(self.input_shape),
-            sorted((v, op.value) for v, op in self.ops.items()),
-            sorted(self.edges),
-            sorted((v, tuple(sorted(p))) for v, p in self.couples.items()),
-        ))
+        """Stable fingerprint of the labeled graph (ids, ops, edges, couples):
+        sha256 of the repr of (input shape, sorted (id, op name) pairs, sorted
+        edges, sorted (id, sorted partners) pairs).  A child from `child_block`
+        carries its parent's item reprs, so only its edit's items are
+        formatted anew."""
+        ops, edges, couples = (", ".join(texts) for _, texts in self._digest_items)
+        payload = f"({tuple(self.input_shape)!r}, [{ops}], [{edges}], [{couples}])"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _digest_sections(ops: dict[int, OpKind], edges: Iterable[Edge], couples: dict[int, tuple[int, ...]]):
+    """(sort key, repr) of every item of the three digest sections."""
+    return ([(v, repr((v, op.value))) for v, op in ops.items()],
+            [(e, repr(e)) for e in edges],
+            [(v, repr((v, tuple(sorted(p))))) for v, p in couples.items()])
+
+
+def _sorted_section(items: list[tuple]) -> tuple[list, list[str]]:
+    items.sort(key=itemgetter(0))
+    return [k for k, _ in items], [text for _, text in items]
+
+
+def _resorted(section: tuple[list, list[str]], gone: Iterable, added: list[tuple]) -> tuple[list, list[str]]:
+    """A copy of a sorted digest section with every item keyed in gone
+    dropped and the added (key, repr) items inserted in order."""
+    if not gone and not added:
+        return section  # never modified, so shared
+    keys, texts = list(section[0]), list(section[1])
+    for k in gone:
+        i, j = bisect_left(keys, k), bisect_right(keys, k)
+        del keys[i:j], texts[i:j]
+    for k, text in added:
+        i = bisect_right(keys, k)
+        keys.insert(i, k)
+        texts.insert(i, text)
+    return keys, texts
+
+
+def _reindexed(index: dict[int, list[Edge]], end: int, gone: set[Edge], added: tuple[Edge, ...]) -> dict:
+    """A copy of one side of an edge index (keyed by edge field `end`: 0 src,
+    2 dst) with fresh lists for the nodes the gone and added edges touch."""
+    index = dict(index)
+    for e in gone:
+        kept = [*filterfalse(gone.__contains__, index.get(e[end], ()))]
+        if kept:
+            index[e[end]] = kept
+        else:
+            index.pop(e[end], None)
+    for e in added:
+        index[e[end]] = [*index.get(e[end], ()), e]
+    return index
+
+
+def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Edge],
+                ops: dict[int, OpKind], edges: tuple[Edge, ...],
+                couples: dict[int, tuple[int, ...]]) -> BlockGraph:
+    """The parent less the dropped nodes (ops and couples entries) and the
+    removed edges, plus the given ops, edges and couples entries; next_id
+    grows past the added ids.  The parent is left as it was.
+
+    The child's edges are the parent's in order, less the removed ones, then
+    the added ones.  It keeps the change with the parent's edge index, and
+    with its digest items if the parent holds them, so that its own are
+    derived from those when first read, not rebuilt from every edge.
+    """
+    dropped, gone = tuple(dropped), set(removed)
+    new_ops, new_couples = dict(parent.ops), dict(parent.couples)
+    for v in dropped:
+        new_ops.pop(v, None)
+        new_couples.pop(v, None)
+    new_ops.update(ops)
+    new_couples.update(couples)
+    child = BlockGraph(parent.input_shape, new_ops, (*filterfalse(gone.__contains__, parent.edges), *edges),
+                       new_couples, max(parent.next_id, max(ops, default=0) + 1))
+    object.__setattr__(child, "_origin", _Origin(parent.ports, parent.__dict__.get("_digest_items"),
+                                                 dropped, gone, ops, edges, couples))
+    return child
 
 
 def _by_dst_port(edges: list[Edge]) -> list[Edge]:

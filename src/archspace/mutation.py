@@ -36,6 +36,7 @@ from .graph import (
     NodeShapes,
     OUTPUT,
     bfs_reachable,
+    child_block,
     infer_shapes,
     predecessor_map,
     successor_map,
@@ -219,24 +220,16 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
     if edit.block_digest != block.digest:
         raise StaleEdit("edit was proposed against a different block state")
     if edit.kind == "add":
-        if edit.cut_edge not in block.ports.outs.get(edit.cut_edge.src, ()):
-            raise InfeasibleEdit(f"cut edge {edit.cut_edge} not present")
-        _check_template_ids(edit.template, edit.new_ids)
-        for i in edit.new_ids:
+        e, ids = edit.cut_edge, edit.new_ids
+        if e not in block.ports.outs.get(e.src, ()):
+            raise InfeasibleEdit(f"cut edge {e} not present")
+        _check_template_ids(edit.template, ids)
+        for i in ids:
             if i in block.ops:
                 raise InfeasibleEdit(f"node id {i} already in use")
-        ops, internal, couples = _template_parts(edit.template, edit.new_ids)
-        e = edit.cut_edge
-        edges = [x for x in block.edges if x != e]
-        edges.append(Edge(e.src, e.src_port, edit.new_ids[0], 0))
-        edges.extend(internal)
-        edges.append(Edge(edit.new_ids[-1], 0, e.dst, e.dst_port))
-        new_ops = dict(block.ops)
-        new_ops.update(ops)
-        new_couples = dict(block.couples)
-        new_couples.update(couples)
-        next_id = max(block.next_id, max(edit.new_ids) + 1)
-        return BlockGraph(block.input_shape, new_ops, tuple(edges), new_couples, next_id)
+        ops, internal, couples = _template_parts(edit.template, ids)
+        splice = (Edge(e.src, e.src_port, ids[0], 0), *internal, Edge(ids[-1], 0, e.dst, e.dst_port))
+        return child_block(block, (), (e,), ops, splice, couples)
 
     doomed = frozenset(edit.doomed)
     missing = doomed - set(block.ops)
@@ -246,17 +239,12 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
     bridge = Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port)
     if edit.bridge != bridge:
         raise InfeasibleEdit(f"recorded bridge {edit.bridge} does not match {bridge}")
-    edges = [e for e in block.edges if e.src not in doomed and e.dst not in doomed]
-    edges.append(bridge)
-    new_ops = {v: op for v, op in block.ops.items() if v not in doomed}
-    new_couples = {}
     for v, partners in block.couples.items():
-        if v in doomed:
-            continue
-        if any(p in doomed for p in partners):
+        if v not in doomed and any(p in doomed for p in partners):
             raise InfeasibleEdit(f"couple of surviving node {v} reaches into the doomed set")
-        new_couples[v] = partners
-    return BlockGraph(block.input_shape, new_ops, tuple(edges), new_couples, block.next_id)
+    ins, outs = block.ports
+    removed = [x for v in doomed for side in (ins, outs) for x in side.get(v, ())]
+    return child_block(block, doomed, removed, {}, (bridge,), {})
 
 
 def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:

@@ -24,6 +24,7 @@ from .cost import Budget
 from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
 from .network import NetworkSpec, assemble_network
+from .ops import OP_BY_NAME
 from .proxy import COST_PROXIES, DEFAULT_BATCH, ProxyId, cost_score, score_network
 from .rng import Rng
 from .serialize import canonical_json
@@ -126,8 +127,12 @@ def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, Se
     return state.spec, log
 
 
+_OPS_BY_NAME = sorted(OP_BY_NAME.items())
+
+
 def _op_flops_json(state: CostState) -> dict[str, int]:
-    return {op.value: f for op, f in sorted(state.network_op_flops().items(), key=lambda kv: kv[0].value)}
+    flops = state.network_op_flops()
+    return {name: flops[op] for name, op in _OPS_BY_NAME if op in flops}
 
 
 def replay_edits(seed_net: NetworkSpec, edits: list[Edit]) -> NetworkSpec:

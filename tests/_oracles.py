@@ -4,6 +4,7 @@ Everything here is deliberately written with plain loops (or hand-rolled
 linear algebra) and never calls into the interpreter's execution path.
 """
 
+import hashlib
 import heapq
 import math
 import re
@@ -25,6 +26,7 @@ from archspace.graph import (
     BlockGraph,
     Edge,
     NodeShapes,
+    Ports,
     ValidationReport,
     bfs_reachable,
     predecessor_map,
@@ -368,6 +370,31 @@ def excise_boundary_oracle(block, doomed):
 
 def out_edges_oracle(block, v):
     return sorted((e for e in block.edges if e.src == v), key=lambda e: e.src_port)
+
+
+# --- derived block state, rebuilt from the whole block ------------------------
+#
+# `BlockGraph.ports` and `BlockGraph.digest` as every block computed them before
+# a child block carried its parent's edge index and digest items.
+
+def ports_oracle(block):
+    """The edge index, built in one pass over the block's edges."""
+    ins, outs = {}, {}
+    for e in block.edges:
+        outs.setdefault(e.src, []).append(e)
+        ins.setdefault(e.dst, []).append(e)
+    return Ports(ins, outs)
+
+
+def digest_oracle(block):
+    """sha256 of the repr of every sorted node, edge and couple."""
+    payload = repr((
+        tuple(block.input_shape),
+        sorted((v, op.value) for v, op in block.ops.items()),
+        sorted(block.edges),
+        sorted((v, tuple(sorted(p))) for v, p in block.couples.items()),
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # --- per-op rules as `if op is ...` chains ------------------------------------

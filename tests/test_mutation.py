@@ -30,7 +30,7 @@ from archspace.mutation import (
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
 
-from _oracles import template_node_shapes_oracle
+from _oracles import digest_oracle, excise_boundary_oracle, ports_oracle, template_node_shapes_oracle
 
 
 def residual_with_conv1(shape=Shape(4, 3, 3)):
@@ -164,6 +164,37 @@ def test_apply_rejects_stale_edit(desk_spec, desk_budget):
     mutated = apply(desk_spec, edit)
     with pytest.raises(StaleEdit):
         apply(mutated, edit)
+
+
+def test_child_blocks_leave_their_parent_as_it_was(desk_spec):
+    """A child carries its parent's edge index and digest items; building it
+    must not change the parent's."""
+    parent = desk_spec.blocks[1]  # attention2h: couples, multi-port nodes
+    digest = parent.digest
+    cut = parent.out_edges(INPUT)[0]
+    add = Edit("add", 1, INPUT, digest, template="attention", cut_edge=cut,
+               new_ids=tuple(range(parent.next_id, parent.next_id + 4)))
+    doomed = minimal_coupled_subgraph(parent, sorted(parent.couples)[0])
+    entry, exit_ = excise_boundary_oracle(parent, doomed)
+    eliminate = Edit("eliminate", 1, entry.dst, digest, doomed=tuple(sorted(doomed)),
+                     bridge=Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port))
+    children = {}
+    for edit in (add, eliminate):
+        children[edit.kind] = child = apply_block_edit(parent, edit)
+        assert parent.ports == ports_oracle(parent)
+        assert parent.digest == digest == digest_oracle(parent)
+        assert child.ports == ports_oracle(child) and child.digest == digest_oracle(child)
+        assert validate(child).ok
+    grandchild = apply_block_edit(children["add"], Edit(
+        "add", 1, cut.dst, children["add"].digest, template="gelu",
+        cut_edge=children["add"].out_edges(cut.dst)[0], new_ids=(children["add"].next_id,)))
+    assert grandchild.ports == ports_oracle(grandchild) and grandchild.digest == digest_oracle(grandchild)
+    assert children["add"].ports == ports_oracle(children["add"])
+    assert parent.ports == ports_oracle(parent) and parent.digest == digest
+    with pytest.raises(StaleEdit):
+        apply_block_edit(children["add"], eliminate)
+    with pytest.raises(StaleEdit):
+        apply_block_edit(children["eliminate"], add)
 
 
 def test_apply_rejects_an_absent_cut_edge(desk_spec):

@@ -1,11 +1,15 @@
 """`validate`, `topo_order` and `infer_shapes` against the reference versions
 in `_oracles.py`, which read the raw edge list the way the library did
-before it kept one edge index per block.
+before it kept one edge index per block, and `BlockGraph.digest` and
+`BlockGraph.ports` against their from-scratch versions there.
 
 Inputs: every builder variant, every block a seeded 2,000-step walk in the
-c04 budget visits, and corruptions of those blocks, each of the kinds
-below.  Violation strings must match as tuples, in order; the other two
-must return the same value or raise the same error with the same message.
+c04 budget visits, every block of a logged README walk replayed edit by
+edit from the parsed README network, and corruptions of the c04 walk's
+blocks, each of the kinds below.  Violation strings must match as tuples,
+in order; `topo_order` and `infer_shapes` must return the same value or
+raise the same error with the same message; the digest and the edge
+index (its lists in order) must be equal.
 """
 
 import functools
@@ -20,8 +24,10 @@ from archspace.graph import OUTPUT, BlockGraph, Edge, infer_shapes, topo_order, 
 from archspace.mutation import CostState, SearchStepConfig, apply, propose_step
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
+from archspace.search import SearchLog, WalkConfig, random_walk
+from archspace.serialize import parse_document, serialize
 
-from _oracles import infer_shapes_oracle, topo_order_oracle, validate_oracle
+from _oracles import digest_oracle, infer_shapes_oracle, ports_oracle, topo_order_oracle, validate_oracle
 
 C04_BUDGET = a.Budget(50_000, 250_000, 1_000_000, 6_000_000)
 
@@ -37,6 +43,8 @@ def assert_matches_oracle(block):
     assert validate(block).violations == validate_oracle(block).violations
     assert _outcome(topo_order, block) == _outcome(topo_order_oracle, block)
     assert _outcome(infer_shapes, block) == _outcome(infer_shapes_oracle, block)
+    assert block.digest == digest_oracle(block)
+    assert block.ports == ports_oracle(block)
 
 
 @functools.cache
@@ -61,6 +69,24 @@ def walk_blocks():
     return tuple(visited)
 
 
+@functools.cache
+def replayed_blocks():
+    """The parsed README network's blocks and every block that replaying the
+    JSONL log of a 600-step README walk makes from them, edit by edit."""
+    blocks = [a.build("mbconv4", Shape(24, 4, 4)) for _ in range(2)]
+    blocks += [a.build("resnet_basic", Shape(48, 2, 2)) for _ in range(2)]
+    spec = a.make_network(12, (32, 32), (2, 2), (24, 48), 10, blocks=blocks)
+    _, log = random_walk(spec, WalkConfig(600, a.Budget(50_000, 250_000, 1_000_000, 20_000_000), 7))
+    net = parse_document(serialize(spec))
+    visited = list(net.blocks)
+    edits = SearchLog.from_jsonl(log.to_jsonl()).edits()
+    assert {e.kind for e in edits} == {"add", "eliminate"}
+    for edit in edits:
+        net = apply(net, edit)
+        visited.append(net.blocks[edit.block_index])
+    return tuple(visited)
+
+
 def test_builder_variants_match_oracle():
     seen = 0
     for variant in VARIANTS:
@@ -78,6 +104,14 @@ def test_builder_variants_match_oracle():
 def test_walk_blocks_match_oracle():
     blocks = walk_blocks()
     assert len(blocks) > 1500
+    for block in blocks:
+        assert validate(block).ok
+        assert_matches_oracle(block)
+
+
+def test_replayed_blocks_match_oracle():
+    blocks = replayed_blocks()
+    assert len(blocks) > 400
     for block in blocks:
         assert validate(block).ok
         assert_matches_oracle(block)
