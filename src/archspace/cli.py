@@ -142,7 +142,8 @@ def _cmd_score(args) -> int:
                           batch_size=args.batch_size, threads=args.threads)
     out = score.to_json()
     out["seed"] = args.seed
-    out["batch_size"] = args.batch_size
+    if score.proxy_id is ProxyId.VKDNW:  # the only proxy that draws a batch
+        out["batch_size"] = args.batch_size
     _emit_json(out, args.out)
     return 0
 

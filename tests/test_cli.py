@@ -99,13 +99,14 @@ def test_score_cli_reports_what_each_proxy_scored(tmp_path, capsys):
         assert run("score", str(net), "--proxy", proxy) == 0
         out = json.loads(capsys.readouterr().out)
         # a network total: stem, transitions and head included, so no
-        # "block parameters only" note
-        assert out == {"proxy_id": proxy, "value": value, "per_block": [],
-                       "seed": 0, "batch_size": 64}
-    assert run("score", str(net), "--proxy", "random") == 0
-    assert "scored_parameters" not in json.loads(capsys.readouterr().out)
+        # "block parameters only" note; no batch is drawn, so no batch_size
+        assert out == {"proxy_id": proxy, "value": value, "per_block": [], "seed": 0}
+    assert run("score", str(net), "--proxy", "random", "--batch-size", "10") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert "scored_parameters" not in out and "batch_size" not in out
     assert run("score", str(net), "--proxy", "vkdnw", "--batch-size", "10") == 0
-    assert json.loads(capsys.readouterr().out)["scored_parameters"] == "block parameters only"
+    out = json.loads(capsys.readouterr().out)
+    assert out["scored_parameters"] == "block parameters only" and out["batch_size"] == 10
 
 
 # sha256 of the README pipeline's outputs.  A deliberate change of these
