@@ -239,23 +239,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walk", help="budget-constrained random walk")
     p.add_argument("spec")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--p-eliminate", type=float, default=0.3)
-    p.add_argument("--n-try", type=int, default=10)
+    p.add_argument("--record-every", type=int, default=WalkConfig.record_every)
+    p.add_argument("--p-eliminate", type=float, default=WalkConfig.p_eliminate)
+    p.add_argument("--n-try", type=int, default=WalkConfig.n_try)
     p.add_argument("--final-net", help="also write the final network document here")
     _add_common(p, budget=True)
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("search", help="population search guided by a proxy")
     p.add_argument("spec")
-    p.add_argument("--steps", type=int, default=1024)
-    p.add_argument("--population", type=int, default=64)
-    p.add_argument("--steps-per-candidate", type=int, default=5)
-    p.add_argument("--proxy", choices=[p.value for p in ProxyId], default="vkdnw")
-    p.add_argument("--p-eliminate", type=float, default=0.3)
-    p.add_argument("--n-try", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=DEFAULT_BATCH)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--steps", type=int, default=EvoConfig.total_steps)
+    p.add_argument("--population", type=int, default=EvoConfig.population_size)
+    p.add_argument("--steps-per-candidate", type=int, default=EvoConfig.steps_per_candidate)
+    p.add_argument("--proxy", choices=[p.value for p in ProxyId], default=EvoConfig.proxy_id.value)
+    p.add_argument("--p-eliminate", type=float, default=EvoConfig.p_eliminate)
+    p.add_argument("--n-try", type=int, default=EvoConfig.n_try)
+    p.add_argument("--batch-size", type=int, default=EvoConfig.batch_size)
+    p.add_argument("--threads", type=int, default=EvoConfig.threads)
     p.add_argument("--log", help="write the search log here (JSONL)")
     _add_common(p, budget=True)
     p.set_defaults(fn=_cmd_search)

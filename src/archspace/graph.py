@@ -45,19 +45,6 @@ class Ports(NamedTuple):
     outs: dict[int, list[Edge]]
 
 
-class _Origin(NamedTuple):
-    """How `child_block` made a block: the parent's edge index, its digest
-    items as they stood (None if not built) and what the edit changed."""
-
-    ports: Ports
-    items: Optional[tuple]
-    dropped: tuple[int, ...]
-    gone: set[Edge]
-    ops: dict[int, OpKind]
-    edges: tuple[Edge, ...]
-    couples: dict[int, tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class BlockGraph:
     input_shape: Shape
@@ -65,7 +52,6 @@ class BlockGraph:
     edges: tuple[Edge, ...]
     couples: dict[int, tuple[int, ...]]          # node -> coupled partners
     next_id: int = 2
-    _origin = None                               # not a field; set by child_block
 
     @staticmethod
     def identity(shape: Shape) -> "BlockGraph":
@@ -86,13 +72,8 @@ class BlockGraph:
     @cached_property
     def ports(self) -> Ports:
         """The edge index, kept with the block; every reader shares it, so none
-        may modify it.  A child from `child_block` copies its parent's, with
-        fresh lists for the nodes its edit touched; any other block builds it
-        in one pass over the edges."""
-        origin = self._origin
-        if origin is not None:
-            (ins, outs), gone, added = origin.ports, origin.gone, origin.edges
-            return Ports(_reindexed(ins, 2, gone, added), _reindexed(outs, 0, gone, added))
+        may modify it.  Built here in one pass over the edges for a root block;
+        `child_block` sets a child's from its parent's."""
         ins, outs = {}, {}
         for e in self.edges:
             outs.setdefault(e.src, []).append(e)
@@ -103,13 +84,8 @@ class BlockGraph:
     def _digest_items(self) -> tuple[tuple[list, list[str]], ...]:
         """The digest payload's three sections (ops by id, edges, couples by
         id), each as its sorted keys and the repr of each item in that order.
-        A child whose parent held them takes the parent's, less the items
-        keyed by a dropped node or a removed edge, plus its edit's items."""
-        origin = self._origin
-        if origin is not None and origin.items is not None:
-            gone = ((*origin.dropped, *origin.ops), origin.gone, (*origin.dropped, *origin.couples))
-            added = _digest_sections(origin.ops, origin.edges, origin.couples)
-            return tuple(map(_resorted, origin.items, gone, added))
+        Built here from every item for a root block; `child_block` sets a
+        child's from its parent's."""
         return tuple(_sorted_section(items) for items in _digest_sections(self.ops, self.edges, self.couples))
 
     @cached_property
@@ -175,9 +151,9 @@ def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Ed
     grows past the added ids.  The parent is left as it was.
 
     The child's edges are the parent's in order, less the removed ones, then
-    the added ones.  It keeps the change with the parent's edge index, and
-    with its digest items if the parent holds them, so that its own are
-    derived from those when first read, not rebuilt from every edge.
+    the added ones.  Its edge index and digest items are derived from the
+    parent's (built first if the parent never had them), not rebuilt from
+    every edge.
     """
     dropped, gone = tuple(dropped), set(removed)
     new_ops, new_couples = dict(parent.ops), dict(parent.couples)
@@ -188,8 +164,11 @@ def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Ed
     new_couples.update(couples)
     child = BlockGraph(parent.input_shape, new_ops, (*filterfalse(gone.__contains__, parent.edges), *edges),
                        new_couples, max(parent.next_id, max(ops, default=0) + 1))
-    object.__setattr__(child, "_origin", _Origin(parent.ports, parent.__dict__.get("_digest_items"),
-                                                 dropped, gone, ops, edges, couples))
+    (ins, outs), cache = parent.ports, child.__dict__
+    cache["ports"] = Ports(_reindexed(ins, 2, gone, edges), _reindexed(outs, 0, gone, edges))
+    doomed = ((*dropped, *ops), gone, (*dropped, *couples))
+    cache["_digest_items"] = tuple(map(_resorted, parent._digest_items, doomed,
+                                       _digest_sections(ops, edges, couples)))
     return child
 
 

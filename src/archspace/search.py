@@ -35,9 +35,13 @@ class WalkConfig:
     steps: int
     budget: Budget
     seed: int
-    p_eliminate: float = 0.3
-    n_try: int = 10
+    p_eliminate: float = SearchStepConfig.p_eliminate
+    n_try: int = SearchStepConfig.n_try
     record_every: int = 1
+
+    def __post_init__(self):
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -48,12 +52,14 @@ class EvoConfig:
     proxy_id: ProxyId = ProxyId.VKDNW
     budget: Budget = Budget(0, 27_000_000, 0, 20_000_000_000)
     seed: int = 0
-    p_eliminate: float = 0.3
-    n_try: int = 10
+    p_eliminate: float = SearchStepConfig.p_eliminate
+    n_try: int = SearchStepConfig.n_try
     batch_size: int = DEFAULT_BATCH
     threads: int = 1
 
     def __post_init__(self):
+        if self.population_size < 1:
+            raise ValueError("population_size must be >= 1")
         if self.population_size > self.total_steps:
             raise ValueError("population_size must not exceed total_steps")
 

@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from .errors import FormatError
-from .graph import BlockGraph, Edge, topo_order
+from .graph import OUTPUT, BlockGraph, Edge, topo_order
 from .network import NetworkSpec, StageSpec
 from .ops import OP_BY_NAME, Shape
 
@@ -56,7 +56,10 @@ def block_from_json(d: dict) -> BlockGraph:
         edges = tuple(Edge(*json_ints(e, "edge")) for e in d["edges"])
         # Object keys are strings in JSON, so couple keys are decimal strings.
         couples = {int(v): json_ints(ps, "couple partner") for v, ps in d["couples"].items()}
-        return BlockGraph(shape, ops, edges, couples, json_int(d["next_id"], "next_id"))
+        next_id, top = json_int(d["next_id"], "next_id"), max(ops, default=OUTPUT)
+        if next_id <= top:  # edits hand out ids from next_id on
+            raise FormatError(f"next_id {next_id} must be above every node id (max {top})")
+        return BlockGraph(shape, ops, edges, couples, next_id)
     except FormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -2,7 +2,8 @@ import hashlib
 import json
 
 import archspace as a
-from archspace.cli import main
+from archspace.cli import _parse_budget, build_parser, main
+from archspace.search import EvoConfig, WalkConfig
 from archspace.serialize import parse_document, serialize
 
 
@@ -279,6 +280,37 @@ def test_exit_codes(tmp_path, capsys):
         assert err.count("\n") == 1 and says in err and not replayed.exists(), (template, err)
     # 1: a seed network with fewer blocks than its stages hold is refused before the walk
     assert run("walk", str(bad_docs["no_blocks"]), "--steps", "1") == 1
+
+
+def test_walk_refuses_a_next_id_in_use_before_any_step(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    assert run("build", "--variant", "mbconv4,identity", "--stem", "12",
+               "--resolution", "32", "--stages", "1,1", "--dims", "24,48",
+               "--classes", "10", "--out", str(net)) == 0
+    for block, next_id in [(0, 2), (1, 1)]:  # an id in use; a reserved id
+        doc = json.loads(net.read_text())
+        doc["blocks"][block]["next_id"] = next_id
+        bad = tmp_path / f"next_id_{block}.json"
+        bad.write_text(json.dumps(doc))
+        log = tmp_path / "walk.jsonl"
+        capsys.readouterr()
+        assert run("validate", str(bad)) == 2
+        assert run("walk", str(bad), "--steps", "50", "--out", str(log)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and err.count("next_id") == 2 and not log.exists(), err
+
+
+def test_step_flag_defaults_are_the_config_defaults():
+    walk = build_parser().parse_args(["walk", "net.json"])
+    cfg = WalkConfig(steps=walk.steps, budget=_parse_budget(walk.budget), seed=walk.seed)
+    assert (walk.p_eliminate, walk.n_try, walk.record_every) == (cfg.p_eliminate, cfg.n_try, cfg.record_every)
+    search = build_parser().parse_args(["search", "net.json"])
+    evo = EvoConfig()
+    assert (search.steps, search.population, search.steps_per_candidate, search.proxy,
+            _parse_budget(search.budget), search.seed, search.p_eliminate, search.n_try,
+            search.batch_size, search.threads) == (
+        evo.total_steps, evo.population_size, evo.steps_per_candidate, evo.proxy_id.value,
+        evo.budget, evo.seed, evo.p_eliminate, evo.n_try, evo.batch_size, evo.threads)
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -9,6 +9,7 @@ from archspace.graph import (
     GraphAssembler,
     INPUT,
     OUTPUT,
+    child_block,
     infer_shapes,
     same_graph,
     validate,
@@ -29,6 +30,7 @@ from archspace.mutation import (
 )
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
+from archspace.serialize import parse_document, serialize
 
 from _oracles import digest_oracle, excise_boundary_oracle, ports_oracle, template_node_shapes_oracle
 
@@ -195,6 +197,31 @@ def test_child_blocks_leave_their_parent_as_it_was(desk_spec):
         apply_block_edit(children["add"], eliminate)
     with pytest.raises(StaleEdit):
         apply_block_edit(children["eliminate"], add)
+
+
+def test_child_block_of_an_unread_parent_matches_the_oracles(desk_spec):
+    """A child made from a parsed block whose digest and edge index were never
+    read still gets both right, and the parent's digest stays as it was."""
+    document = serialize(desk_spec)
+    probe = parse_document(document).blocks[1]  # attention2h: couples, multi-port nodes
+    doomed = minimal_coupled_subgraph(probe, sorted(probe.couples)[0])
+    entry, exit_ = excise_boundary_oracle(probe, doomed)
+    cut = next(e for e in probe.edges if e.src == INPUT)
+    v = probe.next_id
+    edits = {
+        "add": ((), (cut,), {v: OpKind.GELU},
+                (Edge(cut.src, cut.src_port, v, 0), Edge(v, 0, cut.dst, cut.dst_port)), {}),
+        "eliminate": (doomed, [e for e in probe.edges if e.src in doomed or e.dst in doomed], {},
+                      (Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port),), {}),
+    }
+    for kind, (dropped, removed, ops, edges, couples) in edits.items():
+        parent = parse_document(document).blocks[1]
+        assert "digest" not in parent.__dict__ and "ports" not in parent.__dict__
+        child = child_block(parent, dropped, removed, ops, edges, couples)
+        assert child.ports == ports_oracle(child), kind
+        assert child.digest == digest_oracle(child), kind
+        assert validate(child).ok, kind
+        assert parent.digest == digest_oracle(parent) == probe.digest, kind
 
 
 def test_apply_rejects_an_absent_cut_edge(desk_spec):

@@ -73,6 +73,18 @@ def _desk_evo(steps=40, proxy=ProxyId.NEG_FLOPS, population=8, seed=21, threads=
                      p_eliminate=0.4, batch_size=10, threads=threads)
 
 
+def test_walk_config_refuses_record_every_below_one(desk_budget):
+    for record_every in (0, -3):
+        with pytest.raises(ValueError, match="record_every"):
+            WalkConfig(steps=5, budget=desk_budget, seed=0, record_every=record_every)
+
+
+def test_evo_config_refuses_an_empty_population():
+    for total_steps in (0, 10):
+        with pytest.raises(ValueError, match="population_size"):
+            EvoConfig(total_steps=total_steps, population_size=0)
+
+
 def test_evolve_single_slot_population(desk_spec, desk_budget):
     cfg = _desk_evo(steps=10, proxy=ProxyId.RANDOM, population=1)
     best, log = evolve(desk_spec, cfg)

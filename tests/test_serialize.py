@@ -47,6 +47,15 @@ def test_parse_rejects_garbage():
         parse_document(doc)
 
 
+@pytest.mark.parametrize("block, next_id", [(0, 2), (0, -1), (3, 1)],
+                         ids=["in_use", "negative", "identity_reserved"])
+def test_parse_rejects_a_next_id_not_above_every_node_id(desk_spec, block, next_id):
+    doc = to_document(desk_spec)
+    doc["blocks"][block]["next_id"] = next_id
+    with pytest.raises(FormatError, match="next_id"):
+        parse_document(doc)
+
+
 @pytest.mark.parametrize("where", [
     lambda doc: (doc["network"]["input_resolution"], 0),
     lambda doc: (doc["network"]["stages"][0], "channels"),
