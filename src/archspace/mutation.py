@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cost import Budget, block_cost, skeleton_cost, transition_cost
@@ -292,6 +292,9 @@ class CostState:
     shapes: list[dict[int, NodeShapes]]
     total: Cost
     op_flops: dict[OpKind, int]
+    # (edit, delta, patch) of the last `preview`; states and edits are never mutated.
+    _previewed: Optional[tuple[Edit, Cost, EditPatch]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_spec(spec: NetworkSpec) -> "CostState":
@@ -344,11 +347,15 @@ class CostState:
             old_first = self.spec.stage_entry(si)[1]
             delta = delta + (transition_cost(self.spec, si, new_first).total
                              - transition_cost(self.spec, si, old_first).total)
-        return delta, EditPatch(change, added, removed, op_flops)
+        patch = EditPatch(change, added, removed, op_flops)
+        self._previewed = (edit, delta, patch)
+        return delta, patch
 
     def after_edit(self, new_spec: NetworkSpec, edit: Edit) -> "CostState":
-        """State for new_spec, applying the edit's preview patch."""
-        delta, patch = self.preview(edit)
+        """State for new_spec, applying the edit's preview patch: the one this
+        state's last `preview` made when that was for this edit object."""
+        hit = self._previewed
+        delta, patch = hit[1:] if hit is not None and hit[0] is edit else self.preview(edit)
         bi = edit.block_index
         shapes = list(self.shapes)
         block_shapes = shapes[bi] = dict(shapes[bi])

@@ -10,7 +10,7 @@ The head is a global average pool plus a fully connected classifier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import AssemblyError, FormatError
@@ -72,7 +72,8 @@ class NetworkSpec:
     def with_block(self, index: int, block: BlockGraph) -> "NetworkSpec":
         blocks = list(self.blocks)
         blocks[index] = block
-        return replace(self, blocks=tuple(blocks))
+        return NetworkSpec(self.in_channels, self.stem_out_channels, self.input_resolution,
+                           self.stages, tuple(blocks), self.num_classes)
 
 
 def stem_spatial(resolution: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:

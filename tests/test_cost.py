@@ -1,6 +1,7 @@
 import pytest
 
 import archspace as a
+from archspace import mutation
 from archspace.cost import Budget, block_cost, network_cost
 from archspace.graph import BlockGraph, Edge, GraphAssembler, INPUT, OUTPUT
 from archspace.mutation import (
@@ -316,3 +317,77 @@ def test_fusion_costs_projection_exactly_once():
         + 48 * 10 + 10          # head
     )
     assert rep.total.params == expected_params
+
+
+def _count_op_costs(monkeypatch):
+    """The ops that `mutation` costs from now on, one entry per costed node."""
+    costed = []
+
+    def counted(op, in_shapes, out_shapes):
+        costed.append(op)
+        return op_cost(op, in_shapes, out_shapes)
+
+    monkeypatch.setattr(mutation, "op_cost", counted)
+    return costed
+
+
+def _edit_size(edit):
+    return len(TEMPLATES[edit.template].ops) if edit.kind == "add" else len(edit.doomed)
+
+
+def _assert_ledger_is_rebuilt(state):
+    fresh = CostState.from_spec(state.spec)
+    assert state.total == fresh.total
+    assert state.shapes == fresh.shapes
+    assert _nonzero(state.op_flops) == _nonzero(fresh.op_flops)
+
+
+def test_after_edit_costs_the_accepted_edit_once(desk_spec, desk_budget, monkeypatch):
+    costed = _count_op_costs(monkeypatch)
+    state, root, kinds = CostState.from_spec(desk_spec), Rng(31), []
+    for step in range(1, 61):
+        costed.clear()
+        edit = propose_step(state.spec, SearchStepConfig(desk_budget, root.child(step), 0.4), state)
+        if edit is None:
+            continue
+        assert len(costed) >= _edit_size(edit)
+        costed.clear()
+        new_spec = apply(state.spec, edit)
+        fresh = CostState.from_spec(state.spec).after_edit(new_spec, edit)
+        assert len(costed) == _edit_size(edit), edit
+        costed.clear()
+        # The accepted edit was the last one previewed; applying it costs nothing more.
+        state = state.after_edit(new_spec, edit)
+        assert costed == [], edit
+        _assert_ledger_is_rebuilt(state)
+        _assert_ledger_is_rebuilt(fresh)
+        kinds.append(edit.kind)
+    assert {"add", "eliminate"} <= set(kinds)
+
+
+def test_after_edit_previews_an_equal_edit_afresh(desk_spec, desk_budget, monkeypatch):
+    costed = _count_op_costs(monkeypatch)
+    for net, state, edit in _random_edits(desk_spec, desk_budget, 37, 40):
+        state.preview(edit)
+        twin = Edit.from_json(edit.to_json())
+        assert twin == edit and twin is not edit
+        costed.clear()
+        after = state.after_edit(apply(net, edit), twin)
+        assert len(costed) == _edit_size(edit), edit
+        _assert_ledger_is_rebuilt(after)
+
+
+def test_a_state_applies_only_its_own_preview(desk_spec, desk_budget, monkeypatch):
+    costed = _count_op_costs(monkeypatch)
+    for net, state, edit in _random_edits(desk_spec, desk_budget, 41, 40):
+        after_net = apply(net, edit)
+        own = state.preview(edit)[1]
+        other = CostState.from_spec(net)
+        costed.clear()
+        _assert_ledger_is_rebuilt(other.after_edit(after_net, edit))
+        assert len(costed) == _edit_size(edit), edit
+        assert other.preview(edit)[1] is not own
+        costed.clear()
+        _assert_ledger_is_rebuilt(state.after_edit(after_net, edit))
+        _assert_ledger_is_rebuilt(other.after_edit(after_net, edit))
+        assert costed == [], edit

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from archspace.rng import Rng
+import archspace as a
+from archspace.rng import Rng, _philox_block
 
 
 def test_zero_std_gives_zero_tensor():
@@ -49,6 +51,14 @@ def test_uniform_and_randbelow_ranges():
     assert np.all((u >= 0.0) & (u < 1.0))
     draws = [r.randbelow(7) for _ in range(500)]
     assert set(draws) == set(range(7))
+    assert 0 <= r.randbelow(2 ** 64) < 2 ** 64
+
+
+def test_randbelow_refuses_bounds_a_word_cannot_cover():
+    # Above 2**64 no word lies below the rejection limit, which is 0.
+    for n in (0, -3, 2 ** 64 + 1, 2 ** 70):
+        with pytest.raises(ValueError):
+            Rng(1).randbelow(n)
 
 
 def test_normal_moments_are_sane():
@@ -117,3 +127,39 @@ def test_draws_read_the_bare_philox_stream():
                     assert got == [getattr(ref, kind)() for _ in range(size)], (kind, size)
                     assert all(type(g) is type(got[0]) for g in got)
         assert type(rng.next_u64()) is int
+
+
+def test_philox_block_matches_numpy():
+    words = Rng(0x9E37).child(5)
+    keys = [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)] + [(words.next_u64(), words.next_u64()) for _ in range(100)]
+    for k0, k1 in keys:
+        want = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64)).random_raw(64)
+        got = [w for c in range(1, 17) for w in _philox_block(c, k0, k1)]
+        assert got == [int(w) for w in want], (k0, k1)
+
+
+def test_normal_after_word_draws_reads_the_bare_philox_stream():
+    # The first words of a normal come from the block the word draws began.
+    for k in (1, 2, 3, 4, 5):
+        for size in (1, 2, 5, 6, 7, 9, 16):
+            rng = Rng(0xC4).child(k, size)
+            ref = _BarePhilox(rng, 64)
+            assert [rng.next_u64() for _ in range(k)] == [ref.next_u64() for _ in range(k)]
+            assert rng.normal(size).tobytes() == ref.normal(size).tobytes(), (k, size)
+            assert [rng.next_u64() for _ in range(7)] == [ref.next_u64() for _ in range(7)], (k, size)
+            assert rng.normal(3).tobytes() == ref.normal(3).tobytes(), (k, size)
+
+
+def test_search_steps_build_no_numpy_philox(desk_spec, monkeypatch):
+    """Word draws compute their blocks in-module: a walk and a cost-proxy
+    search run with numpy's Philox unavailable."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word draw built a numpy Philox")
+
+    monkeypatch.setattr(np.random, "Philox", refuse)
+    budget = a.Budget(50_000, 250_000, 1_000_000, 20_000_000)
+    _, log = a.random_walk(desk_spec, a.WalkConfig(steps=300, budget=budget, seed=7))
+    assert len(log.edits()) > 100
+    _, log = a.evolve(desk_spec, a.EvoConfig(total_steps=20, population_size=16,
+                                             proxy_id=a.ProxyId.NEG_FLOPS, budget=budget, seed=0))
+    assert len(log.records) == 21
