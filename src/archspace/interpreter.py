@@ -3,9 +3,13 @@
 Semantics of the elementary ops, where not obvious:
 
 * Softmax normalizes along the last (W) axis.
-* MaxPool2d is kernel 3, stride 1; border windows take the max over
-  in-bounds neighbors only, so the shape is preserved without injecting
-  padding values.
+* Every conv and pool window is k x k and same-padded by k // 2 (zeros for
+  a conv, -inf for MaxPool2d), so stride s gives (n - 1) // s + 1 outputs
+  along an axis of n.  ``_taps`` states that window once and ``_untap`` its
+  adjoint; every forward and backward rule of a window reads them.
+* MaxPool2d is kernel 3, stride 1 in a block; border windows take the max
+  over in-bounds neighbors only.  The stem convs and the stage-transition
+  pools use stride 2.
 * Mask zeroes every position with |h - w| > 5 (square spatial maps only).
 * Matmul1 produces out[(h1,h2),(w1,w2)] = sum_c x[c,h1,w1] y[c,h2,w2] / sqrt(C)
   with the H^2 axis indexing (h1,h2) and the W^2 axis indexing (w1,w2);
@@ -41,6 +45,7 @@ from .rng import Rng
 
 _BN_EPS = 1e-5
 _LN_EPS = 1e-5
+_POOL = 3  # MaxPool's window, in blocks and in the stage transitions
 
 
 @dataclass
@@ -79,47 +84,52 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
     return store
 
 
-def _pad(x, pad, value=0.0):
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
+def _taps(x, k, stride=1, fill=0.0):
+    """The k x k window over x's last two axes, same-padded by k // 2 with
+    fill: (dy, dx, view) per offset in row-major order, each view taking every
+    stride-th position, so an axis of n gives (n - 1) // stride + 1 outputs."""
+    h, w = x.shape[-2:]
+    p = k // 2
+    if p:
+        x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((p, p), (p, p)), constant_values=fill)
+    for dy in range(k):
+        for dx in range(k):
+            yield dy, dx, x[..., dy:dy + h:stride, dx:dx + w:stride]
 
 
-def conv2d(x, w, b, stride=1, padding=0):
-    n, cin, h, win = x.shape
-    cout, cin_w, kh, kw = w.shape
-    if cin != cin_w:
-        raise ShapeMismatch("conv", f"C_in={cin_w}", f"C_in={cin}")
-    xp = _pad(x, padding)
-    hout = (h + 2 * padding - kh) // stride + 1
-    wout = (win + 2 * padding - kw) // stride + 1
-    out = np.zeros((n, cout, hout, wout))
-    for dy in range(kh):
-        for dx in range(kw):
-            xs = xp[:, :, dy:dy + stride * hout:stride, dx:dx + stride * wout:stride]
-            out += np.einsum("oc,nchw->nohw", w[:, :, dy, dx], xs, optimize=True)
+def _untap(shape, k, term):
+    """The adjoint of _taps at stride 1: term(dy, dx) summed into each offset's
+    view of zeros of this shape padded by k // 2, then the padding cropped."""
+    *lead, h, w = shape
+    p = k // 2
+    out = np.zeros((*lead, h + 2 * p, w + 2 * p))
+    for dy in range(k):
+        for dx in range(k):
+            out[..., dy:dy + h, dx:dx + w] += term(dy, dx)
+    return out[..., p:p + h, p:p + w]
+
+
+def conv2d(x, w, b, stride=1):
+    if x.shape[1] != w.shape[1]:
+        raise ShapeMismatch("conv", f"C_in={w.shape[1]}", f"C_in={x.shape[1]}")
+    out = np.zeros((x.shape[0], w.shape[0], *x[..., ::stride, ::stride].shape[2:]))
+    for dy, dx, xs in _taps(x, w.shape[-1], stride):
+        out += np.einsum("oc,nchw->nohw", w[:, :, dy, dx], xs, optimize=True)
     out += b[None, :, None, None]
     return out
 
 
-def depthwise_conv2d(x, w, padding):
-    n, c, h, win = x.shape
-    k = w.shape[-1]
-    xp = _pad(x, padding)
+def depthwise_conv2d(x, w):
     out = np.zeros_like(x)
-    for dy in range(k):
-        for dx in range(k):
-            out += xp[:, :, dy:dy + h, dx:dx + win] * w[None, :, dy, dx, None, None]
+    for dy, dx, xs in _taps(x, w.shape[-1]):
+        out += xs * w[None, :, dy, dx, None, None]
     return out
 
 
-def maxpool2d(x, kernel=3, stride=1, padding=1):
-    n, c, h, w = x.shape
-    xp = _pad(x, padding, -np.inf)
-    hout = (h + 2 * padding - kernel) // stride + 1
-    wout = (w + 2 * padding - kernel) // stride + 1
-    out = np.full((n, c, hout, wout), -np.inf)
-    for dy in range(kernel):
-        for dx in range(kernel):
-            np.maximum(out, xp[:, :, dy:dy + stride * hout:stride, dx:dx + stride * wout:stride], out=out)
+def maxpool2d(x, stride=1):
+    out = np.full(x[..., ::stride, ::stride].shape, -np.inf)
+    for _, _, xs in _taps(x, _POOL, stride, -np.inf):
+        np.maximum(out, xs, out=out)
     return out
 
 
@@ -180,8 +190,8 @@ def _band(h):
 
 def _conv(ins, p, row, _):
     if row.conv.depthwise:
-        return [depthwise_conv2d(ins[0], p["weight"], padding=row.conv.pad)]
-    y = conv2d(ins[0], p["weight"], p["bias"], padding=row.conv.pad)
+        return [depthwise_conv2d(ins[0], p["weight"])]
+    y = conv2d(ins[0], p["weight"], p["bias"])
     return np.split(y, row.out_arity, axis=1)
 
 
@@ -329,42 +339,26 @@ def _ein(subscripts, g, a):
     return np.einsum(subscripts, g, a, optimize=True)
 
 
-def _conv_vjp(g, x, w, pad, align, want_x):
+def _conv_vjp(g, x, w, align, want_x):
     rows, s, o, h, wd = g.shape
-    kh, kw = w.shape[2:]
-    xa = align(_pad(x, pad) if pad else x)
     gm = g.transpose(0, 2, 1, 3, 4).reshape(rows, o, s * h * wd)
     gw = np.empty((rows, *w.shape))
-    for dy in range(kh):
-        for dx in range(kw):
-            xs = xa[:, :, :, dy:dy + h, dx:dx + wd]
-            gw[..., dy, dx] = gm @ xs.transpose(0, 1, 3, 4, 2).reshape(xs.shape[0], s * h * wd, -1)
+    for dy, dx, xs in _taps(align(x), w.shape[-1]):
+        gw[..., dy, dx] = gm @ xs.transpose(0, 1, 3, 4, 2).reshape(xs.shape[0], s * h * wd, -1)
     grads = {"weight": gw, "bias": g.sum(axis=(1, 3, 4))}
     if not want_x:
         return None, grads
-    gx = np.zeros((rows, s, w.shape[1], h + 2 * pad, wd + 2 * pad))
-    for dy in range(kh):
-        for dx in range(kw):
-            gx[:, :, :, dy:dy + h, dx:dx + wd] += np.einsum(
-                "oc,rsohw->rschw", w[:, :, dy, dx], g, optimize=True)
-    return gx[:, :, :, pad:pad + h, pad:pad + wd], grads
+    return _untap((rows, s, w.shape[1], h, wd), w.shape[-1], lambda dy, dx: np.einsum(
+        "oc,rsohw->rschw", w[:, :, dy, dx], g, optimize=True)), grads
 
 
-def _depthwise_vjp(g, x, w, pad, align, want_x):
-    rows, s, c, h, wd = g.shape
-    k = w.shape[-1]
-    xa = align(_pad(x, pad))
-    gw = np.empty((rows, c, k, k))
-    for dy in range(k):
-        for dx in range(k):
-            gw[:, :, dy, dx] = np.einsum("rschw,rschw->rc", g, xa[:, :, :, dy:dy + h, dx:dx + wd])
+def _depthwise_vjp(g, x, w, align, want_x):
+    gw = np.empty((g.shape[0], *w.shape))
+    for dy, dx, xs in _taps(align(x), w.shape[-1]):
+        gw[:, :, dy, dx] = np.einsum("rschw,rschw->rc", g, xs)
     if not want_x:
         return None, {"weight": gw}
-    gx = np.zeros((rows, s, c, h + 2 * pad, wd + 2 * pad))
-    for dy in range(k):
-        for dx in range(k):
-            gx[:, :, :, dy:dy + h, dx:dx + wd] += g * w[:, dy, dx, None, None]
-    return gx[:, :, :, pad:pad + h, pad:pad + wd], {"weight": gw}
+    return _untap(g.shape, w.shape[-1], lambda dy, dx: g * w[:, dy, dx, None, None]), {"weight": gw}
 
 
 def _norm_stats(x, axes, eps):
@@ -374,15 +368,12 @@ def _norm_stats(x, axes, eps):
 
 def _maxpool_masks(x, out):
     """Which window offset supplies each output; the first in scan order on ties."""
-    h, w = x.shape[2:]
-    xp = _pad(x, 1, -np.inf)
     taken = np.zeros(out.shape, dtype=bool)
     masks = []
-    for dy in range(3):
-        for dx in range(3):
-            m = (xp[:, :, dy:dy + h, dx:dx + w] == out) & ~taken
-            taken |= m
-            masks.append(m)
+    for _, _, xs in _taps(x, _POOL, fill=-np.inf):
+        m = (xs == out) & ~taken
+        taken |= m
+        masks.append(m)
     return masks
 
 
@@ -404,12 +395,7 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         return one(g)
     if op is OpKind.MAXPOOL:
         masks = _cached(tape, v, lambda: _maxpool_masks(x, outs[0]))
-        h, w = x.shape[2:]
-        gx = np.zeros((*g.shape[:3], h + 2, w + 2))
-        for i, m in enumerate(masks):
-            dy, dx = divmod(i, 3)
-            gx[:, :, :, dy:dy + h, dx:dx + w] += g * align(m)
-        return one(gx[:, :, :, 1:-1, 1:-1])
+        return one(_untap(g.shape, _POOL, lambda dy, dx: g * align(masks[_POOL * dy + dx])))
     if op is OpKind.MASK:
         return one(g * _band(x.shape[2]))
     if op is OpKind.SIGMOID:
@@ -428,7 +414,7 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
     conv = OP_INFO[op].conv
     if conv is not None:
         vjp = _depthwise_vjp if conv.depthwise else _conv_vjp
-        gx, grads = vjp(g, x, params["weight"], conv.pad, align, want[0])
+        gx, grads = vjp(g, x, params["weight"], align, want[0])
         return [gx], grads
     if op is OpKind.BATCH_NORM:
         # Rows are full here: statistics couple every sample of the batch.
@@ -582,10 +568,10 @@ def forward_network(plan: ExecutablePlan, params: NetworkParams, x: np.ndarray) 
     if tuple(x.shape[1:]) != (spec.in_channels, *spec.input_resolution):
         raise ShapeMismatch("stem", (spec.in_channels, *spec.input_resolution), tuple(x.shape[1:]))
     for w, b in params.stem:
-        x = gelu(conv2d(x, w, b, stride=2, padding=1))
+        x = gelu(conv2d(x, w, b, stride=2))
     pos = 0
     for si, st in enumerate(spec.stages):
-        x = maxpool2d(x, kernel=3, stride=2, padding=1)
+        x = maxpool2d(x, stride=2)
         proj = params.projections[si]
         if proj is not None:
             x = conv2d(x, proj[0], proj[1])

@@ -114,10 +114,6 @@ class Conv(NamedTuple):
     mult: int = 1
     depthwise: bool = False
 
-    @property
-    def pad(self) -> int:
-        return self.kernel // 2
-
     def tensors(self, s: Shape, c_in: int) -> dict[str, tuple[int, ...]]:
         k, c_out = self.kernel, self.mult * s.c
         if self.depthwise:

@@ -52,10 +52,17 @@ def block_from_json(d: dict) -> BlockGraph:
             name = n["op"]
             if name not in OP_BY_NAME:
                 raise FormatError(f"unknown op {name!r}")
-            ops[json_int(n["id"], "node id")] = OP_BY_NAME[name]
+            v = json_int(n["id"], "node id")
+            if v in ops:
+                raise FormatError(f"node id {v} is listed twice")
+            ops[v] = OP_BY_NAME[name]
         edges = tuple(Edge(*json_ints(e, "edge")) for e in d["edges"])
-        # Object keys are strings in JSON, so couple keys are decimal strings.
-        couples = {int(v): json_ints(ps, "couple partner") for v, ps in d["couples"].items()}
+        couples = {}
+        for key, ps in d["couples"].items():
+            v = int(key)  # object keys are strings in JSON, so a couple key is a decimal id
+            if str(v) != key:
+                raise FormatError(f"couple key {key!r} is not a node id in canonical decimal form")
+            couples[v] = json_ints(ps, "couple partner")
         next_id, top = json_int(d["next_id"], "next_id"), max(ops, default=OUTPUT)
         if next_id <= top:  # edits hand out ids from next_id on
             raise FormatError(f"next_id {next_id} must be above every node id (max {top})")

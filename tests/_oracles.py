@@ -38,10 +38,7 @@ from archspace.interpreter import (
     _band,
     _rel_pos_add,
     _softmax_last,
-    conv2d,
-    depthwise_conv2d,
     gelu,
-    maxpool2d,
     matmul1,
     matmul2,
     sigmoid,
@@ -105,6 +102,117 @@ def relpos_add_loops(am, table):
             dw = j // v - j % v
             out[0, i, j] += table[dh + u - 1, dw + v - 1]
     return out
+
+
+# The interpreter's window kernels as they were before one tap generator
+# served them all: each states its own k x k loop, padding and crop.
+
+def _pad(x, pad, value=0.0):
+    return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=value)
+
+
+def conv2d_loops(x, w, b, stride=1, padding=0):
+    n, cin, h, win = x.shape
+    cout, cin_w, kh, kw = w.shape
+    if cin != cin_w:
+        raise ShapeMismatch("conv", f"C_in={cin_w}", f"C_in={cin}")
+    xp = _pad(x, padding)
+    hout = (h + 2 * padding - kh) // stride + 1
+    wout = (win + 2 * padding - kw) // stride + 1
+    out = np.zeros((n, cout, hout, wout))
+    for dy in range(kh):
+        for dx in range(kw):
+            xs = xp[:, :, dy:dy + stride * hout:stride, dx:dx + stride * wout:stride]
+            out += np.einsum("oc,nchw->nohw", w[:, :, dy, dx], xs, optimize=True)
+    out += b[None, :, None, None]
+    return out
+
+
+def depthwise_conv2d_loops(x, w, padding):
+    n, c, h, win = x.shape
+    k = w.shape[-1]
+    xp = _pad(x, padding)
+    out = np.zeros_like(x)
+    for dy in range(k):
+        for dx in range(k):
+            out += xp[:, :, dy:dy + h, dx:dx + win] * w[None, :, dy, dx, None, None]
+    return out
+
+
+def maxpool2d_loops(x, kernel=3, stride=1, padding=1):
+    n, c, h, w = x.shape
+    xp = _pad(x, padding, -np.inf)
+    hout = (h + 2 * padding - kernel) // stride + 1
+    wout = (w + 2 * padding - kernel) // stride + 1
+    out = np.full((n, c, hout, wout), -np.inf)
+    for dy in range(kernel):
+        for dx in range(kernel):
+            np.maximum(out, xp[:, :, dy:dy + stride * hout:stride, dx:dx + stride * wout:stride], out=out)
+    return out
+
+
+def conv_vjp_loops(g, x, w, pad, align, want_x):
+    """Input cotangent and parameter gradients of conv2d_loops at stride 1;
+    g is (R, S, C_out, H, W) and align maps an (N, ...) array onto its rows."""
+    rows, s, o, h, wd = g.shape
+    kh, kw = w.shape[2:]
+    xa = align(_pad(x, pad) if pad else x)
+    gm = g.transpose(0, 2, 1, 3, 4).reshape(rows, o, s * h * wd)
+    gw = np.empty((rows, *w.shape))
+    for dy in range(kh):
+        for dx in range(kw):
+            xs = xa[:, :, :, dy:dy + h, dx:dx + wd]
+            gw[..., dy, dx] = gm @ xs.transpose(0, 1, 3, 4, 2).reshape(xs.shape[0], s * h * wd, -1)
+    grads = {"weight": gw, "bias": g.sum(axis=(1, 3, 4))}
+    if not want_x:
+        return None, grads
+    gx = np.zeros((rows, s, w.shape[1], h + 2 * pad, wd + 2 * pad))
+    for dy in range(kh):
+        for dx in range(kw):
+            gx[:, :, :, dy:dy + h, dx:dx + wd] += np.einsum(
+                "oc,rsohw->rschw", w[:, :, dy, dx], g, optimize=True)
+    return gx[:, :, :, pad:pad + h, pad:pad + wd], grads
+
+
+def depthwise_vjp_loops(g, x, w, pad, align, want_x):
+    rows, s, c, h, wd = g.shape
+    k = w.shape[-1]
+    xa = align(_pad(x, pad))
+    gw = np.empty((rows, c, k, k))
+    for dy in range(k):
+        for dx in range(k):
+            gw[:, :, dy, dx] = np.einsum("rschw,rschw->rc", g, xa[:, :, :, dy:dy + h, dx:dx + wd])
+    if not want_x:
+        return None, {"weight": gw}
+    gx = np.zeros((rows, s, c, h + 2 * pad, wd + 2 * pad))
+    for dy in range(k):
+        for dx in range(k):
+            gx[:, :, :, dy:dy + h, dx:dx + wd] += g * w[:, dy, dx, None, None]
+    return gx[:, :, :, pad:pad + h, pad:pad + wd], {"weight": gw}
+
+
+def maxpool_masks_loops(x, out):
+    """Which window offset supplies each output; the first in scan order on ties."""
+    h, w = x.shape[2:]
+    xp = _pad(x, 1, -np.inf)
+    taken = np.zeros(out.shape, dtype=bool)
+    masks = []
+    for dy in range(3):
+        for dx in range(3):
+            m = (xp[:, :, dy:dy + h, dx:dx + w] == out) & ~taken
+            taken |= m
+            masks.append(m)
+    return masks
+
+
+def maxpool_vjp_loops(g, x, masks, align):
+    """The MaxPool input cotangent: g scattered back through each offset's mask."""
+    h, w = x.shape[2:]
+    gx = np.zeros((*g.shape[:3], h + 2, w + 2))
+    for i, m in enumerate(masks):
+        dy, dx = divmod(i, 3)
+        gx[:, :, :, dy:dy + h, dx:dx + w] += g * align(m)
+    return gx[:, :, :, 1:-1, 1:-1]
 
 
 def attention2h_oracle(block, store, x):
@@ -566,7 +674,7 @@ def exec_node_oracle(op, ins, params):
     if op is OpKind.DROPOUT:
         return [x]
     if op is OpKind.MAXPOOL:
-        return [maxpool2d(x)]
+        return [maxpool2d_loops(x)]
     if op is OpKind.MASK:
         return [x * _band(x.shape[2])[None, None, :, :]]
     if op is OpKind.SIGMOID:
@@ -574,13 +682,13 @@ def exec_node_oracle(op, ins, params):
     if op is OpKind.GELU:
         return [gelu(x)]
     if op in CONV:
-        y = conv2d(x, params["weight"], params["bias"], padding=CONV[op][0] // 2)
+        y = conv2d_loops(x, params["weight"], params["bias"], padding=CONV[op][0] // 2)
         if op is OpKind.CONV_RED4:
             n, c4, h, w = y.shape
             y = y.reshape(n, c4 // 16, 16, h, w).mean(axis=2)
         return np.split(y, OP_INFO[op].out_arity, axis=1)
     if op in DEPTHWISE:
-        return [depthwise_conv2d(x, params["weight"], padding=DEPTHWISE[op] // 2)]
+        return [depthwise_conv2d_loops(x, params["weight"], padding=DEPTHWISE[op] // 2)]
     if op is OpKind.BATCH_NORM:
         mu = x.mean(axis=(0, 2, 3), keepdims=True)
         var = x.var(axis=(0, 2, 3), keepdims=True)

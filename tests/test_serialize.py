@@ -56,6 +56,28 @@ def test_parse_rejects_a_next_id_not_above_every_node_id(desk_spec, block, next_
         parse_document(doc)
 
 
+def test_parse_rejects_a_repeated_node_id():
+    g = GraphAssembler(Shape(8, 4, 4))
+    g.wire(g.chain((INPUT, 0), OpKind.GELU), 0, OUTPUT, 0)
+    doc = to_document(a.make_network(4, (32, 32), (1,), (8,), 10, blocks=[g.finish()]))
+    nodes = doc["blocks"][0]["nodes"]
+    assert nodes == [{"id": 2, "op": "GELU"}]
+    parse_document(json.dumps(doc))
+    nodes.append({"id": 2, "op": "Softmax"})  # used to parse as a Softmax block
+    with pytest.raises(FormatError, match="node id 2 is listed twice"):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("keys", [("010",), ("+10",), ("1_0",), (" 10",), ("10", "010")])
+def test_parse_rejects_a_non_canonical_couple_key(desk_spec, keys):
+    doc = to_document(desk_spec)
+    couples = doc["blocks"][0]["couples"]  # mbconv4: node 10 couples with 15
+    partners = couples.pop("10")
+    couples.update((k, partners) for k in keys)
+    with pytest.raises(FormatError, match="couple key"):
+        parse_document(json.dumps(doc))
+
+
 @pytest.mark.parametrize("where", [
     lambda doc: (doc["network"]["input_resolution"], 0),
     lambda doc: (doc["network"]["stages"][0], "channels"),
