@@ -206,24 +206,28 @@ def bfs_reachable(adj: dict[int, list[int]], starts: Iterable[int], stop_at: Opt
 
 
 def topo_order(block: BlockGraph) -> list[int]:
-    """Interior node ids in deterministic topological order (ties by id)."""
-    succs = successor_map(block)
-    indeg = dict.fromkeys(succs, 0)
-    for lst in succs.values():
-        for s in lst:
-            indeg[s] += 1
+    """Interior node ids in deterministic topological order (ties by id):
+    in-degrees counted in one pass over the edges, then one id-keyed heap
+    run over the edge index's out lists."""
+    ops, outs = block.ops, block.ports.outs
+    indeg = dict.fromkeys(ops, 0)
+    for e in block.edges:
+        if e.src in ops and e.dst in ops:
+            indeg[e.dst] += 1
     ready = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for s in succs[v]:
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(ready, s)
-    if len(order) != len(block.ops):
-        raise CycleDetected(f"{len(block.ops) - len(order)} nodes unreachable from a cycle-free order")
+        for e in outs.get(v, ()):
+            s = e.dst
+            if s in indeg:
+                indeg[s] -= 1
+                if indeg[s] == 0:
+                    heapq.heappush(ready, s)
+    if len(order) != len(ops):
+        raise CycleDetected(f"{len(ops) - len(order)} nodes unreachable from a cycle-free order")
     return order
 
 
@@ -250,17 +254,17 @@ def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes
     """infer_shapes along an order the caller has already computed."""
     producers: dict[tuple[int, int], Shape] = {(INPUT, 0): block.input_shape}
     result: dict[int, NodeShapes] = {INPUT: NodeShapes((), (block.input_shape,))}
-    in_edges = block.ports.ins
+    ops, in_edges = block.ops, block.ports.ins
     for v in order:
-        op = block.ops[v]
+        op = ops[v]
         ins = []
-        for e in _by_dst_port(in_edges.get(v, [])):
-            key = (e.src, e.src_port)
+        for e in _by_dst_port(in_edges.get(v, ())):
+            key = e[:2]
             if key not in producers:
                 raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
             ins.append(producers[key])
         target = upsample_source(block, v, result).in_shapes[0][1:] if op is OpKind.UP_SAMPLE else None
-        outs = transfer(op, ins, node=v, upsample_target=target)
+        outs = transfer(op, ins, v, target)
         result[v] = NodeShapes(tuple(ins), outs)
         for port, s in enumerate(outs):
             producers[(v, port)] = s
@@ -284,10 +288,8 @@ class ValidationReport:
 
 
 def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -> None:
-    """Ports 0..n_ports-1 of v on one side carry one edge each; ports holds
-    the port of each of v's edges on that side, in edge order."""
-    if ports == list(range(n_ports)):
-        return
+    """Word why ports 0..n_ports-1 of v on one side do not carry one edge
+    each; ports holds the port of each of v's edges on that side, in edge order."""
     counts: dict[int, int] = {}
     for p in ports:
         counts[p] = counts.get(p, 0) + 1
@@ -301,9 +303,21 @@ def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -
 
 
 def _port_violations(block: BlockGraph) -> list[str]:
-    ops = block.ops
+    """Every (node, port) the ops require is fed by exactly one edge on each
+    side, and no other is: checked as set equality first, and worded node by
+    node only when it fails."""
+    ops, edges = block.ops, block.edges
+    fed, feeding = {e[2:] for e in edges}, {e[:2] for e in edges}
+    if len(fed) == len(feeding) == len(edges):
+        infos = [(v, OP_INFO[op]) for v, op in ops.items()]
+        want_in = {(v, p) for v, info in infos for p in range(info.in_arity)}
+        want_out = {(v, p) for v, info in infos for p in range(info.out_arity)}
+        want_in.add((OUTPUT, 0))
+        want_out.add((INPUT, 0))
+        if fed == want_in and feeding == want_out:
+            return []
     bad = [f"edge {tuple(e)} references unknown node {v}"
-           for e in block.edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
+           for e in edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
     if bad:
         return bad
     ins, outs = block.ports
@@ -323,30 +337,35 @@ def _port_violations(block: BlockGraph) -> list[str]:
 def _couples_violations(block: BlockGraph, order: list[int]) -> list[str]:
     """Couple checks on an acyclic block with valid ports, given its topological order.
 
-    An edge never goes back in the order, so a directed path between a
-    pair can only start at the earlier node: one search from there answers
-    it, once per unordered pair.
+    An edge never goes back in the order, so one sweep from the last node
+    to the first gives each node its descendants as a bitset over
+    positions, and a directed path joins a pair iff the later node's bit is
+    set in the earlier node's descendants.
     """
     bad = []
+    ops, outs = block.ops, block.ports.outs
     position = {v: i for i, v in enumerate(order)}
-    succs = successor_map(block)
-    joined: dict[tuple[int, int], bool] = {}
+    reach: dict[int, int] = {}
+    for v in reversed(order):
+        r = 0
+        for e in outs.get(v, ()):
+            if e.dst in ops:
+                r |= reach[e.dst] | 1 << position[e.dst]
+        reach[v] = r
     for v, partners in block.couples.items():
-        if v not in block.ops:
+        if v not in ops:
             bad.append(f"couples entry references dead node {v}")
             continue
         for p in partners:
-            if p not in block.ops:
+            if p not in ops:
                 bad.append(f"couple {v}<->{p}: dead partner")
                 continue
             if v not in block.couples.get(p, ()):
                 bad.append(f"couple {v}->{p} is not symmetric")
             first, last = (v, p) if position[v] <= position[p] else (p, v)
-            if (first, last) not in joined:
-                joined[first, last] = last in bfs_reachable(succs, (first,), stop_at=last)
-            if not joined[first, last]:
+            if not reach[first] >> position[last] & 1:
                 bad.append(f"couple {v}<->{p}: no directed path between the pair")
-    for v, op in block.ops.items():
+    for v, op in ops.items():
         if op in COUPLED_ONLY and v not in block.couples:
             bad.append(f"node {v} ({op.value}) changes dimensions/fan-out but has no couple")
     return bad
@@ -356,8 +375,9 @@ def validate(block: BlockGraph) -> ValidationReport:
     """All invariant violations as data; empty report iff the block is feasible.
 
     One edge index (`BlockGraph.ports`) serves the port check, the
-    topological order, the couple check and shape inference, and the order
-    is computed once.  Shapes are inferred from the block itself.
+    topological order, the couple check and shape inference; the order is
+    computed once and no successor map is built.  The whole block is
+    checked on every call, and shapes are inferred from the block itself.
     """
     bad = _port_violations(block)
     if bad:

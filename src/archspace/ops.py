@@ -248,6 +248,8 @@ def transfer(
 ) -> tuple[Shape, ...]:
     """Output shapes of `op` for the given input shapes, or a typed error."""
     info = OP_INFO[op]
+    if info.requires is None and op not in COUPLED_ONLY and len(in_shapes) == 1:
+        return (in_shapes[0],)  # what the default rule gives a shape-preserving op
     if len(in_shapes) != info.in_arity:
         raise GraphError(f"node {node}: {op.value} takes {info.in_arity} inputs, got {len(in_shapes)}")
     if info.rule is not None:

@@ -63,6 +63,8 @@ def block_from_json(d: dict) -> BlockGraph:
             if str(v) != key:
                 raise FormatError(f"couple key {key!r} is not a node id in canonical decimal form")
             couples[v] = json_ints(ps, "couple partner")
+            if len(set(couples[v])) != len(couples[v]):
+                raise FormatError(f"couple key {key!r} lists a partner twice")
         next_id, top = json_int(d["next_id"], "next_id"), max(ops, default=OUTPUT)
         if next_id <= top:  # edits hand out ids from next_id on
             raise FormatError(f"next_id {next_id} must be above every node id (max {top})")

@@ -177,13 +177,24 @@ def test_assembly_error_names_the_block_once():
 
 
 def test_validate_sorts_topologically_once(monkeypatch):
+    """validate sorts once, builds no successor map and runs no search per
+    couple pair, on a valid block and on one with a couple that no path joins."""
     blk = a.build("attention2h", Shape(8, 4, 4))
-    calls = []
+    heads = [v for v in topo_order(blk) if blk.ops[v] is OpKind.MATMUL1]  # on parallel heads
+    couples = {**blk.couples, heads[0]: (*blk.couples[heads[0]], heads[1]),
+               heads[1]: (*blk.couples[heads[1]], heads[0])}
+    unjoined = BlockGraph(blk.input_shape, dict(blk.ops), blk.edges, couples, blk.next_id)
+    calls = {name: [] for name in ("topo_order", "successor_map", "bfs_reachable")}
 
-    def counted(block):
-        calls.append(block)
-        return topo_order(block)
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls[name].append(args) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(graph, "topo_order", counted)
-    assert validate(blk).ok
-    assert len(calls) == 1
+    for name in calls:
+        monkeypatch.setattr(graph, name, counted(name, getattr(graph, name)))
+    no_path = tuple(f"couple {v}<->{p}: no directed path between the pair" for v, p in (heads, heads[::-1]))
+    for block, violations in ((blk, ()), (unjoined, no_path)):
+        for lst in calls.values():
+            lst.clear()
+        assert validate(block).violations == violations
+        assert {name: len(lst) for name, lst in calls.items()} == {
+            "topo_order": 1, "successor_map": 0, "bfs_reachable": 0}

@@ -78,6 +78,15 @@ def test_parse_rejects_a_non_canonical_couple_key(desk_spec, keys):
         parse_document(json.dumps(doc))
 
 
+def test_parse_rejects_a_repeated_couple_partner(desk_spec):
+    doc = to_document(desk_spec)
+    couples = doc["blocks"][0]["couples"]  # mbconv4: node 10 couples with 15
+    assert couples["10"] == [15] and couples["15"] == [10]
+    couples["10"] = [15, 15]  # used to parse, validate, and digest unlike [15]
+    with pytest.raises(FormatError, match="couple key '10' lists a partner twice"):
+        parse_document(json.dumps(doc))
+
+
 @pytest.mark.parametrize("where", [
     lambda doc: (doc["network"]["input_resolution"], 0),
     lambda doc: (doc["network"]["stages"][0], "channels"),

@@ -22,7 +22,7 @@ from archspace.builders import VARIANTS
 from archspace.errors import ArchSpaceError
 from archspace.graph import OUTPUT, BlockGraph, Edge, infer_shapes, topo_order, validate
 from archspace.mutation import CostState, SearchStepConfig, apply, propose_step
-from archspace.ops import OpKind, Shape
+from archspace.ops import OP_INFO, OpKind, Shape
 from archspace.rng import Rng
 from archspace.search import SearchLog, WalkConfig, random_walk
 from archspace.serialize import parse_document, serialize
@@ -206,6 +206,25 @@ def back_edge(draw, block):
     return _with(block, edges=edges)
 
 
+def swap_in_ports(draw, block):
+    """Two in edges of one multi-input node trade their input ports, so every
+    port stays fed once and only the shapes can tell."""
+    ops = block.ops
+    nodes = sorted({e.dst for e in block.edges if e.dst in ops and OP_INFO[ops[e.dst]].in_arity > 1})
+    if not nodes:
+        return block
+    v = draw(st.sampled_from(nodes))
+    into = [k for k, e in enumerate(block.edges) if e.dst == v]
+    if len(into) < 2:
+        return block
+    i = draw(st.integers(0, len(into) - 2))
+    j = draw(st.integers(i + 1, len(into) - 1))
+    edges = list(block.edges)
+    x, y = edges[into[i]], edges[into[j]]
+    edges[into[i]], edges[into[j]] = x._replace(dst_port=y.dst_port), y._replace(dst_port=x.dst_port)
+    return _with(block, edges=edges)
+
+
 def one_sided_couple(draw, block):
     if not block.couples:
         return block
@@ -262,7 +281,7 @@ def change_input_shape(draw, block):
 
 
 CORRUPTIONS = (drop_edge, duplicate_edge, port_out_of_range, unknown_node, reverse_edge,
-               back_edge, one_sided_couple, couple_without_path, uncouple, widen_output,
+               back_edge, swap_in_ports, one_sided_couple, couple_without_path, uncouple, widen_output,
                swap_op, change_input_shape)
 
 
@@ -287,6 +306,7 @@ def test_each_corruption_kind_reaches_its_violation():
     # Two nodes on parallel heads: neither reaches the other.
     heads = [v for v in order if blk.ops[v] is OpKind.MATMUL1]
     softmax = next(v for v in order if blk.ops[v] is OpKind.SOFTMAX)
+    matmul2, add = (next(v for v in order if blk.ops[v] is op) for op in (OpKind.MATMUL2, OpKind.ADD))
     pick = {
         drop_edge: ([0], "edges (want 1)"),
         duplicate_edge: ([0, 0], "2 edges (want 1)"),
@@ -294,6 +314,7 @@ def test_each_corruption_kind_reaches_its_violation():
         unknown_node: ([0, blk.next_id + 7, False], "references unknown node"),
         reverse_edge: ([1], "edges (want 1)"),
         back_edge: ([0, len(order) - 1], "cycle:"),
+        swap_in_ports: ([matmul2, 0, 1], "shape inference failed"),
         one_sided_couple: ([coupled, blk.couples[coupled][0]], "is not symmetric"),
         couple_without_path: ([heads[0], heads[1]], "no directed path between the pair"),
         uncouple: ([coupled], "has no couple"),
@@ -309,3 +330,8 @@ def test_each_corruption_kind_reaches_its_violation():
         report = validate(bad)
         assert any(expected in v for v in report.violations), (corrupt.__name__, report.violations)
         assert_matches_oracle(bad)
+    # Add's two inputs have one shape, so trading its ports keeps the block valid.
+    queue = [add, 0, 1]
+    swapped = swap_in_ports(lambda _strategy: queue.pop(0), blk)
+    assert swapped.edges != blk.edges and validate(swapped).ok
+    assert_matches_oracle(swapped)
