@@ -16,7 +16,7 @@ def _couple_groups(block: BlockGraph) -> dict[int, int]:
     k = 0
     for v in sorted(block.couples):
         if v not in group:
-            group.update(dict.fromkeys(bfs_reachable(block.couples, (v,)) | {v}, k))
+            group.update(dict.fromkeys(bfs_reachable(lambda u: block.couples.get(u, ()), (v,)) | {v}, k))
             k += 1
     return group
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import CycleDetected, GraphError
 from .ops import COUPLED_ONLY, OP_INFO, OpKind, Shape, transfer
@@ -176,30 +176,17 @@ def _by_dst_port(edges: list[Edge]) -> list[Edge]:
     return sorted(edges, key=lambda e: e.dst_port) if len(edges) > 1 else edges
 
 
-def successor_map(block: BlockGraph) -> dict[int, list[int]]:
-    """Interior node -> interior successors, read off the edge index."""
-    outs, ops = block.ports.outs, block.ops
-    return {v: [e.dst for e in outs.get(v, ()) if e.dst in ops] for v in ops}
-
-
-def predecessor_map(block: BlockGraph) -> dict[int, list[int]]:
-    ins, ops = block.ports.ins, block.ops
-    return {v: [e.src for e in ins.get(v, ()) if e.src in ops] for v in ops}
-
-
-def bfs_reachable(adj: dict[int, list[int]], starts: Iterable[int], stop_at: Optional[int] = None) -> set[int]:
-    """Nodes reachable from any of starts by one edge or more (a start only if
-    another start or a cycle reaches it); early exit once stop_at is seen."""
+def bfs_reachable(step: Callable[[int], Iterable[int]], starts: Iterable[int]) -> set[int]:
+    """Nodes reachable from any of starts by one step or more (a start only if
+    another start or a cycle reaches it); step(v) gives v's next nodes."""
     seen: set[int] = set()
     frontier = list(starts)
     while frontier:
         nxt = []
         for v in frontier:
-            for s in adj.get(v, ()):
+            for s in step(v):
                 if s not in seen:
                     seen.add(s)
-                    if s == stop_at:
-                        return seen
                     nxt.append(s)
         frontier = nxt
     return seen
@@ -288,8 +275,8 @@ class ValidationReport:
 
 
 def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -> None:
-    """Word why ports 0..n_ports-1 of v on one side do not carry one edge
-    each; ports holds the port of each of v's edges on that side, in edge order."""
+    """Word why ports 0..n_ports-1 of v on one side do not carry one edge each
+    and which lie outside; ports holds v's port of each edge there, in edge order."""
     counts: dict[int, int] = {}
     for p in ports:
         counts[p] = counts.get(p, 0) + 1
@@ -298,7 +285,7 @@ def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -
         if n != 1:
             bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
     for p in counts:
-        if p >= n_ports:
+        if not 0 <= p < n_ports:
             bad.append(f"node {v} {kind} port {p} out of range")
 
 
@@ -376,7 +363,7 @@ def validate(block: BlockGraph) -> ValidationReport:
 
     One edge index (`BlockGraph.ports`) serves the port check, the
     topological order, the couple check and shape inference; the order is
-    computed once and no successor map is built.  The whole block is
+    computed once and no adjacency map is built.  The whole block is
     checked on every call, and shapes are inferred from the block itself.
     """
     bad = _port_violations(block)

@@ -38,8 +38,6 @@ from .graph import (
     bfs_reachable,
     child_block,
     infer_shapes,
-    predecessor_map,
-    successor_map,
 )
 from .network import NetworkSpec
 from .ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, op_cost, transfer
@@ -185,7 +183,8 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
     its whole couple group plus every node on a directed path between two
     group members, iterated to a fixpoint so nested couples stay intact.
     In a DAG those are the nodes both reachable from the group and reaching
-    it: one forward and one backward search from the whole group a round.
+    it: one forward and one backward search from the whole group a round,
+    each stepping along the block's edge index between interior nodes.
     """
     if v not in block.ops:
         raise InfeasibleEdit(f"node {v} is not an interior node")
@@ -193,19 +192,22 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
         if not OP_INFO[block.ops[v]].preserves_shape:
             raise InfeasibleEdit(f"node {v} ({block.ops[v].value}) changes shape but has no couple")
         return frozenset({v})
-    succs = successor_map(block)
-    preds = predecessor_map(block)
+    (ins, outs), ops = block.ports, block.ops
+
+    def steps(side, end):  # to the interior nodes at edge field end (0 src, 2 dst); none from others
+        return lambda u: [e[end] for e in side.get(u, ()) if e[end] in ops] if u in ops else ()
+
     doomed = {v, *block.couples[v]}
     while True:
         grown = doomed.union(*(block.couples.get(u, ()) for u in doomed))
-        grown |= bfs_reachable(succs, grown) & bfs_reachable(preds, grown)
+        grown |= bfs_reachable(steps(outs, 2), grown) & bfs_reachable(steps(ins, 0), grown)
         if grown == doomed:
             return frozenset(doomed)
         doomed = grown
 
 
-def _excise_boundary(block: BlockGraph, doomed: frozenset[int]) -> tuple[Edge, Edge]:
-    """Unique entry and exit edges of the doomed set; InfeasibleEdit otherwise."""
+def _excise_boundary(block: BlockGraph, doomed: frozenset[int]) -> Edge:
+    """The edge that bridges the doomed set's unique entry and exit edges; InfeasibleEdit otherwise."""
     ins, outs = block.ports
     entries = [e for v in doomed for e in ins.get(v, ()) if e.src not in doomed]
     exits = [e for v in doomed for e in outs.get(v, ()) if e.dst not in doomed]
@@ -213,7 +215,7 @@ def _excise_boundary(block: BlockGraph, doomed: frozenset[int]) -> tuple[Edge, E
         raise InfeasibleEdit(
             f"doomed set has {len(entries)} entry / {len(exits)} exit edges (want 1/1)"
         )
-    return entries[0], exits[0]
+    return Edge(*entries[0][:2], *exits[0][2:])
 
 
 def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
@@ -224,9 +226,8 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
         if e not in block.ports.outs.get(e.src, ()):
             raise InfeasibleEdit(f"cut edge {e} not present")
         _check_template_ids(edit.template, ids)
-        for i in ids:
-            if i in block.ops:
-                raise InfeasibleEdit(f"node id {i} already in use")
+        if min(ids) < block.next_id:
+            raise InfeasibleEdit(f"node ids {ids} must be at least next_id {block.next_id}")
         ops, internal, couples = _template_parts(edit.template, ids)
         splice = (Edge(e.src, e.src_port, ids[0], 0), *internal, Edge(ids[-1], 0, e.dst, e.dst_port))
         return child_block(block, (), (e,), ops, splice, couples)
@@ -235,8 +236,7 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
     missing = doomed - set(block.ops)
     if missing:
         raise InfeasibleEdit(f"doomed nodes {sorted(missing)} not present")
-    entry, exit_ = _excise_boundary(block, doomed)
-    bridge = Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port)
+    bridge = _excise_boundary(block, doomed)
     if edit.bridge != bridge:
         raise InfeasibleEdit(f"recorded bridge {edit.bridge} does not match {bridge}")
     for v, partners in block.couples.items():
@@ -396,16 +396,11 @@ def propose_step(
                 continue
             try:
                 doomed = minimal_coupled_subgraph(block, v)
-                entry, exit_ = _excise_boundary(block, doomed)
+                bridge = _excise_boundary(block, doomed)
             except InfeasibleEdit:
                 continue
-            edit = Edit(
-                "eliminate", bi, v, block.digest,
-                doomed=tuple(sorted(doomed)),
-                bridge=Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port),
-            )
-            d = network_delta(state, edit)
-            after = total + d
+            edit = Edit("eliminate", bi, v, block.digest, doomed=tuple(sorted(doomed)), bridge=bridge)
+            after = total + network_delta(state, edit)
             if after.params >= cfg.budget.params_min and after.flops >= cfg.budget.flops_min:
                 return edit
         else:
@@ -418,8 +413,7 @@ def propose_step(
                 "add", bi, v, block.digest, template=name, cut_edge=e,
                 new_ids=tuple(range(block.next_id, block.next_id + len(TEMPLATES[name].ops))),
             )
-            d = network_delta(state, edit)
-            after = total + d
+            after = total + network_delta(state, edit)
             if after.params <= cfg.budget.params_max and after.flops <= cfg.budget.flops_max:
                 return edit
     return None

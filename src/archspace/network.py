@@ -132,6 +132,8 @@ def validate_network(spec: NetworkSpec) -> list[str]:
     bad = []
     if spec.in_channels < 1 or spec.stem_out_channels < 1 or spec.num_classes < 1:
         bad.append("channel and class counts must be >= 1")
+    if not spec.stages:
+        bad.append("network has no stages")
     if sum(st.n_blocks for st in spec.stages) != len(spec.blocks):
         bad.append("stage block counts do not match the block list length")
         return bad

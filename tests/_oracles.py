@@ -28,10 +28,6 @@ from archspace.graph import (
     NodeShapes,
     Ports,
     ValidationReport,
-    bfs_reachable,
-    predecessor_map,
-    successor_map,
-    topo_order,
 )
 from archspace.interpreter import (
     ParamStore,
@@ -222,9 +218,9 @@ def attention2h_oracle(block, store, x):
     scratch: 1x1 projections by matrix algebra, the attention core by the
     explicit loop formulas above, residual add at the end.
     """
-    qkv_nodes = [v for v in topo_order(block) if block.ops[v] is OpKind.CONV_CHUNK3]
-    rel_nodes = [v for v in topo_order(block) if block.ops[v] is OpKind.REL_POS_BIAS]
-    proj_node = next(v for v in topo_order(block) if block.ops[v] is OpKind.CONV1)
+    qkv_nodes = [v for v in topo_order_oracle(block) if block.ops[v] is OpKind.CONV_CHUNK3]
+    rel_nodes = [v for v in topo_order_oracle(block) if block.ops[v] is OpKind.REL_POS_BIAS]
+    proj_node = next(v for v in topo_order_oracle(block) if block.ops[v] is OpKind.CONV1)
     assert len(qkv_nodes) == 2 and len(rel_nodes) == 2
 
     c, h, w = x.shape
@@ -370,7 +366,7 @@ def _port_violations_oracle(block):
             if n != 1:
                 bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
         for (node, p), n in counter.items():
-            if node == v and p >= n_ports:
+            if node == v and not 0 <= p < n_ports:
                 bad.append(f"node {v} {kind} port {p} out of range")
 
     expect(seen_out, INPUT, 1, "output")
@@ -388,10 +384,7 @@ def _port_violations_oracle(block):
 
 def _couples_violations_oracle(block):
     bad = []
-    succs = {v: [] for v in block.ops}
-    for e in block.edges:
-        if e.src in succs and e.dst in succs:
-            succs[e.src].append(e.dst)
+    succs = successor_map(block)
     for v, partners in block.couples.items():
         if v not in block.ops:
             bad.append(f"couples entry references dead node {v}")
@@ -439,6 +432,42 @@ def template_node_shapes_oracle(name, shape, ids):
     return {v: shapes[v] for v in ids}
 
 
+def successor_map(block):
+    """Interior node -> interior successors, by one scan of the edge list."""
+    succs = {v: [] for v in block.ops}
+    for e in block.edges:
+        if e.src in succs and e.dst in succs:
+            succs[e.src].append(e.dst)
+    return succs
+
+
+def predecessor_map(block):
+    """Interior node -> interior predecessors, by one scan of the edge list."""
+    preds = {v: [] for v in block.ops}
+    for e in block.edges:
+        if e.src in preds and e.dst in preds:
+            preds[e.dst].append(e.src)
+    return preds
+
+
+def bfs_reachable(adj, starts, stop_at=None):
+    """Nodes reachable from any of starts by one edge or more (a start only if
+    another start or a cycle reaches it); early exit once stop_at is seen."""
+    seen = set()
+    frontier = list(starts)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for s in adj.get(v, ()):
+                if s not in seen:
+                    seen.add(s)
+                    if s == stop_at:
+                        return seen
+                    nxt.append(s)
+        frontier = nxt
+    return seen
+
+
 def minimal_coupled_subgraph_oracle(block, v):
     """The doomed set by one search per ordered pair of group members: every
     node reachable from a and reaching b, for each b reachable from a."""
@@ -474,6 +503,12 @@ def excise_boundary_oracle(block, doomed):
             f"doomed set has {len(entries)} entry / {len(exits)} exit edges (want 1/1)"
         )
     return entries[0], exits[0]
+
+
+def bridge_oracle(block, doomed):
+    """The edge from the entry edge's source to the exit edge's destination."""
+    entry, exit_ = excise_boundary_oracle(block, doomed)
+    return Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port)
 
 
 def out_edges_oracle(block, v):

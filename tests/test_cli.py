@@ -197,6 +197,7 @@ def test_exit_codes(tmp_path, capsys):
         ("null_couples", lambda d: d["blocks"][0].__setitem__("couples", None)),
         ("short_spatial", lambda d: d["network"]["stages"][0].__setitem__("spatial", [2])),
         ("no_blocks", lambda d: d.__setitem__("blocks", [])),
+        ("no_stages", lambda d: d.update(blocks=[], network={**d["network"], "stages": []})),
     ]:
         doc = json.loads(net.read_text())
         damage(doc)
@@ -280,6 +281,16 @@ def test_exit_codes(tmp_path, capsys):
         assert err.count("\n") == 1 and says in err and not replayed.exists(), (template, err)
     # 1: a seed network with fewer blocks than its stages hold is refused before the walk
     assert run("walk", str(bad_docs["no_blocks"]), "--steps", "1") == 1
+    # 1: a network with no stages is invalid; commands that cost or run it say so in one stderr line
+    no_stages, out = str(bad_docs["no_stages"]), str(tmp_path / "no_stages_out")
+    capsys.readouterr()
+    assert run("validate", no_stages, "--out", out) == 1
+    assert run("score", no_stages) == 1
+    assert "network has no stages" in capsys.readouterr().out
+    for cmd in ("cost", "eval", "walk", "search"):
+        assert run(cmd, no_stages, "--out", out) == 1, cmd
+        err = capsys.readouterr().err
+        assert err == "error: network has no stages\n", (cmd, err)
 
 
 def test_walk_refuses_a_next_id_in_use_before_any_step(tmp_path, capsys):

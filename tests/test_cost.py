@@ -3,14 +3,13 @@ import pytest
 import archspace as a
 from archspace import mutation
 from archspace.cost import Budget, block_cost, network_cost
-from archspace.graph import BlockGraph, Edge, GraphAssembler, INPUT, OUTPUT
+from archspace.graph import BlockGraph, GraphAssembler, INPUT, OUTPUT
 from archspace.mutation import (
     TEMPLATE_NAMES,
     TEMPLATES,
     CostState,
     Edit,
     SearchStepConfig,
-    _excise_boundary,
     apply,
     minimal_coupled_subgraph,
     network_delta,
@@ -19,6 +18,8 @@ from archspace.mutation import (
 )
 from archspace.ops import OpKind, Shape, op_cost, transfer
 from archspace.rng import Rng
+
+from _oracles import bridge_oracle
 
 
 def test_conv3_cost():
@@ -224,9 +225,8 @@ def _eliminate_first(spec, bi):
     blk = spec.blocks[bi]
     first = blk.first_interior()
     doomed = minimal_coupled_subgraph(blk, first)
-    entry, exit_ = _excise_boundary(blk, doomed)
     return Edit("eliminate", bi, first, blk.digest, doomed=tuple(sorted(doomed)),
-                bridge=Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port))
+                bridge=bridge_oracle(blk, doomed))
 
 
 def _first_node_edits(spec):

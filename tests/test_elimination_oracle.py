@@ -5,8 +5,8 @@ backward search from the whole group per round; the oracle runs one
 search per ordered pair of group members.  `_excise_boundary` and
 `BlockGraph.out_edges` read the edge index; their oracles scan the edge
 list.  Inputs: every interior node of every builder variant over a grid of
-shapes, and of every 5th block of the 2,000-step c04-budget walk in
-`test_validate_oracle`.
+shapes, of every 5th block of the 2,000-step c04-budget walk in
+`test_validate_oracle`, and of the blocks a 1,000-step README walk leaves.
 """
 
 import archspace as a
@@ -15,8 +15,9 @@ from archspace.errors import ArchSpaceError, InfeasibleEdit
 from archspace.graph import INPUT, OUTPUT, GraphAssembler, validate
 from archspace.mutation import _excise_boundary, minimal_coupled_subgraph
 from archspace.ops import OpKind, Shape
+from archspace.search import WalkConfig, random_walk
 
-from _oracles import excise_boundary_oracle, minimal_coupled_subgraph_oracle, out_edges_oracle
+from _oracles import bridge_oracle, minimal_coupled_subgraph_oracle, out_edges_oracle
 from test_validate_oracle import walk_blocks
 
 
@@ -35,8 +36,7 @@ def assert_elimination_matches_oracle(block):
         assert doomed == _outcome(minimal_coupled_subgraph_oracle, block, v), v
         if isinstance(doomed, frozenset):
             grown += len(doomed) > 1
-            assert _outcome(_excise_boundary, block, doomed) == \
-                _outcome(excise_boundary_oracle, block, doomed), v
+            assert _outcome(_excise_boundary, block, doomed) == _outcome(bridge_oracle, block, doomed), v
     for v in (INPUT, *block.ops):
         assert block.out_edges(v) == out_edges_oracle(block, v), v
     return grown
@@ -61,6 +61,19 @@ def test_walk_blocks_match_oracle():
     assert len(blocks) > 300
     grown = sum(assert_elimination_matches_oracle(block) for block in blocks)
     assert grown > len(blocks)
+
+
+def test_readme_walk_blocks_match_oracle():
+    """The four blocks a 1,000-step walk leaves on the README's network, seed
+    7, in the README's budget: the sizes at which walks spend their time
+    eliminating."""
+    blocks = [a.build("mbconv4", Shape(24, 4, 4)) for _ in range(2)]
+    blocks += [a.build("resnet_basic", Shape(48, 2, 2)) for _ in range(2)]
+    net = a.make_network(12, (32, 32), (2, 2), (24, 48), 10, blocks=blocks)
+    budget = a.Budget(50_000, 250_000, 1_000_000, 20_000_000)
+    final, _ = random_walk(net, WalkConfig(steps=1000, budget=budget, seed=7))
+    assert sorted(len(block.ops) for block in final.blocks) == [75, 85, 91, 96]
+    assert sum(assert_elimination_matches_oracle(block) for block in final.blocks) == 133
 
 
 def test_interleaved_couples_need_a_second_round():

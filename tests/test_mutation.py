@@ -140,6 +140,16 @@ def test_node_ids_never_reused_after_elimination(desk_spec):
     removed = apply_block_edit(added, Edit("eliminate", 3, ids[0], added.digest,
                                            doomed=ids, bridge=_bridge_for(added, set(ids))))
     assert removed.next_id == added.next_id  # monotone, not rewound
+    # an add may not bring back an eliminated id: neither one it added, nor a builder's
+    res = a.build("resnet_basic", Shape(8, 2, 2))
+    gelu = next(v for v, op in res.ops.items() if op is OpKind.GELU)
+    res_removed = apply_block_edit(res, Edit("eliminate", 0, gelu, res.digest,
+                                             doomed=(gelu,), bridge=_bridge_for(res, {gelu})))
+    for blk, gone in ((removed, ids[0]), (res_removed, gelu)):
+        readd = Edit("add", 0, INPUT, blk.digest, template="gelu",
+                     cut_edge=blk.out_edges(INPUT)[0], new_ids=(gone,))
+        with pytest.raises(InfeasibleEdit, match=f"must be at least next_id {blk.next_id}"):
+            apply_block_edit(blk, readd)
 
 
 def test_propose_on_identity_network_is_always_addition():

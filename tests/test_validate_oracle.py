@@ -330,6 +330,12 @@ def test_each_corruption_kind_reaches_its_violation():
         report = validate(bad)
         assert any(expected in v for v in report.violations), (corrupt.__name__, report.violations)
         assert_matches_oracle(bad)
+    # A negative port is out of range on either side of its edge.
+    for src_side, kind in ((True, "output"), (False, "input")):
+        queue = [0, -1, src_side]
+        bad = port_out_of_range(lambda _strategy: queue.pop(0), blk)
+        assert any(v.endswith(f"{kind} port -1 out of range") for v in validate(bad).violations), kind
+        assert_matches_oracle(bad)
     # Add's two inputs have one shape, so trading its ports keeps the block valid.
     queue = [add, 0, 1]
     swapped = swap_in_ports(lambda _strategy: queue.pop(0), blk)
