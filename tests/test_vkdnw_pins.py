@@ -1,0 +1,68 @@
+"""Byte pins for vkdnw scores at the default batch of 64 over the benchmark's
+scoring pool: the C=8 desk network and the networks that seed-7 walks of 20
+and 40 steps reach from it inside the 1.5k-2.8k params box.
+
+Unlike the four-sample block pins of test_conv_pins, these blocks sweep
+their rows over the whole batch once a BatchNorm mixes the samples, in one
+sweep or, where a cotangent would outgrow the sweep bound, in several.
+
+The pins were recorded before the window adjoint moved to a rows-last
+cotangent; a deliberate change of these bytes updates them and is recorded
+in CHANGES.md.
+"""
+
+import hashlib
+import struct
+
+import archspace as a
+from archspace import interpreter, proxy
+from archspace.ops import OpKind, Shape
+from archspace.rng import Rng
+from archspace.search import WalkConfig, random_walk
+
+BATCH = 64
+POOL_BUDGET = a.Budget(1_500, 2_800, 0, 10**12)
+WALK_SEED = 7
+WALK_STEPS = (20, 40)
+
+POOL_PINS = (
+    "926f8071bd4828f32b26b76b138ccf4549ef331a9f549ce3f88e633be29ddc27",
+    "bda92d109e9c93b35038e6d16f09703909a4ea6950e9e895f68360cc61a3bad0",
+    "19a3def4a5961427045fb9a7c9f67705491b0943146f9b5d0f8067221bddd0f1",
+)
+
+
+def _pool():
+    blocks = [
+        a.build("attention2h", Shape(8, 4, 4)),
+        a.build("squeeze_excite", Shape(8, 4, 4)),
+        a.build("resnet_basic", Shape(8, 2, 2)),
+        a.build("squeeze_excite", Shape(8, 2, 2)),
+    ]
+    base = a.make_network(8, (32, 32), (2, 2), (8, 8), 10, blocks=blocks)
+    walks = [random_walk(base, WalkConfig(steps=s, budget=POOL_BUDGET, seed=WALK_SEED))[0]
+             for s in WALK_STEPS]
+    return [base, *walks]
+
+
+def _score_digest(j, net):
+    score = proxy.score_network(net, proxy.ProxyId.VKDNW, Rng(0).child(j), batch_size=BATCH)
+    data = struct.pack(f"<{1 + len(score.per_block)}d", score.value, *score.per_block)
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_vkdnw_pool_scores_are_pinned():
+    pool = _pool()
+    assert tuple(_score_digest(j, net) for j, net in enumerate(pool)) == POOL_PINS
+
+
+def test_pool_reaches_full_rows_in_one_sweep_and_in_several():
+    sweeps = set()
+    for net in _pool():
+        for block in net.blocks:
+            if OpKind.BATCH_NORM not in block.ops.values():
+                continue
+            store = interpreter.init_params(block, Rng(0))
+            tape = interpreter.forward_tape(block, store, Rng(1).normal((BATCH, *block.input_shape)))
+            sweeps.add(tape.rows_per_sweep(proxy._SWEEP_ELEMENTS) < BATCH)
+    assert sweeps == {False, True}
