@@ -6,7 +6,8 @@ Semantics of the elementary ops, where not obvious:
 * Every conv and pool window is k x k and same-padded by k // 2 (zeros for
   a conv, -inf for MaxPool2d), so stride s gives (n - 1) // s + 1 outputs
   along an axis of n.  ``_taps`` states that window once and ``_untap`` its
-  adjoint; every forward and backward rule of a window reads them.
+  adjoint, which works on a rows-last cotangent and adds each offset's
+  clipped window into the map unpadded; every window rule reads them.
 * MaxPool2d is kernel 3, stride 1 in a block; border windows take the max
   over in-bounds neighbors only.  The stem convs and the stage-transition
   pools use stride 2.
@@ -97,16 +98,25 @@ def _taps(x, k, stride=1, fill=0.0):
             yield dy, dx, x[..., dy:dy + h:stride, dx:dx + w:stride]
 
 
-def _untap(shape, k, term):
-    """The adjoint of _taps at stride 1: term(dy, dx) summed into each offset's
-    view of zeros of this shape padded by k // 2, then the padding cropped."""
-    *lead, h, w = shape
+def _untap(g, c, k, term):
+    """The adjoint of _taps at stride 1 from a cotangent g (R, S, C_g, H, W)
+    to (R, S, c, H, W), worked rows-last as (C, H, W, R, S): for each offset,
+    term(dy, dx, win, src) is the (c, ...) contribution of win, the rows-last
+    g at the source positions src that the offset moves inside the map, and
+    is added there.  Nothing is padded, and each position sums its terms
+    from +0.0 in row-major offset order."""
+    rows, s, _, h, w = g.shape
+    gt = np.ascontiguousarray(g.transpose(2, 3, 4, 0, 1))
+    out = np.zeros((c, h, w, rows, s))
     p = k // 2
-    out = np.zeros((*lead, h + 2 * p, w + 2 * p))
     for dy in range(k):
+        y0, y1 = max(0, dy - p), min(h, h + dy - p)
         for dx in range(k):
-            out[..., dy:dy + h, dx:dx + w] += term(dy, dx)
-    return out[..., p:p + h, p:p + w]
+            x0, x1 = max(0, dx - p), min(w, w + dx - p)
+            if y0 < y1 and x0 < x1:  # a window wider than the map misses it at its far offsets
+                src = (slice(None), slice(y0 + p - dy, y1 + p - dy), slice(x0 + p - dx, x1 + p - dx))
+                out[:, y0:y1, x0:x1] += term(dy, dx, gt[src], src)
+    return np.ascontiguousarray(out.transpose(3, 4, 0, 1, 2))
 
 
 def conv2d(x, w, b, stride=1):
@@ -348,8 +358,13 @@ def _conv_vjp(g, x, w, align, want_x):
     grads = {"weight": gw, "bias": g.sum(axis=(1, 3, 4))}
     if not want_x:
         return None, grads
-    return _untap((rows, s, w.shape[1], h, wd), w.shape[-1], lambda dy, dx: np.einsum(
-        "oc,rsohw->rschw", w[:, :, dy, dx], g, optimize=True)), grads
+    del gm  # freed before the adjoint allocates its own copies of g
+
+    def term(dy, dx, win, _):  # one GEMM per source row of the window
+        by_row = win.swapaxes(0, 1)
+        gx = w[:, :, dy, dx].T @ by_row.reshape(*by_row.shape[:2], -1)
+        return gx.reshape(by_row.shape[0], -1, *by_row.shape[2:]).swapaxes(0, 1)
+    return _untap(g, w.shape[1], w.shape[-1], term), grads
 
 
 def _depthwise_vjp(g, x, w, align, want_x):
@@ -358,7 +373,8 @@ def _depthwise_vjp(g, x, w, align, want_x):
         gw[:, :, dy, dx] = np.einsum("rschw,rschw->rc", g, xs)
     if not want_x:
         return None, {"weight": gw}
-    return _untap(g.shape, w.shape[-1], lambda dy, dx: g * w[:, dy, dx, None, None]), {"weight": gw}
+    return _untap(g, g.shape[2], w.shape[-1], lambda dy, dx, win, _:
+                  win * w[:, dy, dx, None, None, None, None]), {"weight": gw}
 
 
 def _norm_stats(x, axes, eps):
@@ -395,7 +411,8 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         return one(g)
     if op is OpKind.MAXPOOL:
         masks = _cached(tape, v, lambda: _maxpool_masks(x, outs[0]))
-        return one(_untap(g.shape, _POOL, lambda dy, dx: g * align(masks[_POOL * dy + dx])))
+        return one(_untap(g, g.shape[2], _POOL, lambda dy, dx, win, src:
+                          win * align(masks[_POOL * dy + dx]).transpose(2, 3, 4, 0, 1)[src]))
     if op is OpKind.MASK:
         return one(g * _band(x.shape[2]))
     if op is OpKind.SIGMOID:

@@ -185,6 +185,8 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
     In a DAG those are the nodes both reachable from the group and reaching
     it: one forward and one backward search from the whole group a round,
     each stepping along the block's edge index between interior nodes.
+    Path closure is idempotent, so a round ends the search once the couple
+    partners of its path-closed set add nothing.
     """
     if v not in block.ops:
         raise InfeasibleEdit(f"node {v} is not an interior node")
@@ -199,8 +201,8 @@ def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
 
     doomed = {v, *block.couples[v]}
     while True:
+        doomed |= bfs_reachable(steps(outs, 2), doomed) & bfs_reachable(steps(ins, 0), doomed)
         grown = doomed.union(*(block.couples.get(u, ()) for u in doomed))
-        grown |= bfs_reachable(steps(outs, 2), grown) & bfs_reachable(steps(ins, 0), grown)
         if grown == doomed:
             return frozenset(doomed)
         doomed = grown

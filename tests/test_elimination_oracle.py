@@ -10,9 +10,10 @@ shapes, of every 5th block of the 2,000-step c04-budget walk in
 """
 
 import archspace as a
+from archspace import mutation
 from archspace.builders import VARIANTS
 from archspace.errors import ArchSpaceError, InfeasibleEdit
-from archspace.graph import INPUT, OUTPUT, GraphAssembler, validate
+from archspace.graph import INPUT, OUTPUT, GraphAssembler, bfs_reachable, validate
 from archspace.mutation import _excise_boundary, minimal_coupled_subgraph
 from archspace.ops import OpKind, Shape
 from archspace.search import WalkConfig, random_walk
@@ -92,3 +93,21 @@ def test_interleaved_couples_need_a_second_round():
     for v in block.ops:
         assert minimal_coupled_subgraph(block, v) == {a_, b_, c_, d_}
     assert assert_elimination_matches_oracle(block) == 4
+
+
+def test_one_couple_group_closes_in_one_round(monkeypatch):
+    """Squeeze-excite's GlobalAvg <-> UpSample group with its path between:
+    one forward and one backward search close the set, and no second round
+    runs only to confirm it."""
+    block = a.build("squeeze_excite", Shape(8, 4, 4))
+    (v,) = [u for u, op in block.ops.items() if op is OpKind.GLOBAL_AVG]
+    calls = []
+
+    def counted(step, starts):
+        calls.append(1)
+        return bfs_reachable(step, starts)
+
+    monkeypatch.setattr(mutation, "bfs_reachable", counted)
+    doomed = minimal_coupled_subgraph(block, v)
+    assert len(doomed) > 2 and doomed == minimal_coupled_subgraph_oracle(block, v)
+    assert len(calls) == 2
