@@ -16,8 +16,6 @@ from .errors import FormatError, InfeasibleShape
 from .graph import BlockGraph, GraphAssembler, INPUT, OUTPUT
 from .ops import OpKind, Shape
 
-VARIANTS = ("identity", "mbconv4", "attention2h", "resnet_basic", "squeeze_excite")
-
 
 def _require(cond: bool, rule: str) -> None:
     if not cond:
@@ -135,6 +133,7 @@ _BUILDERS = {
     "resnet_basic": build_resnet_basic,
     "squeeze_excite": build_squeeze_excite,
 }
+VARIANTS = tuple(_BUILDERS)
 
 
 def build(variant: str, input_shape: Shape) -> BlockGraph:

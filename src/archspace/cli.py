@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import astuple
 
 from . import builders
 from .cost import Budget, network_cost
@@ -198,7 +199,7 @@ def _add_common(p, *, seed=True, out=True, budget=False):
     if out:
         p.add_argument("--out", help="output file (default stdout)")
     if budget:
-        p.add_argument("--budget", default="0,27000000,0,20000000000",
+        p.add_argument("--budget", default=",".join(map(str, astuple(EvoConfig.budget))),
                        help="params_min,params_max,flops_min,flops_max")
 
 

@@ -68,23 +68,24 @@ def fused_conv_cost(op: OpKind, c_in: int, block_shape: Shape) -> Cost:
     return conv2d_cost(c_in, conv.mult * block_shape.c, conv.kernel, block_shape.h, block_shape.w)
 
 
+def _per_element(op: OpKind, c: int, spatial: tuple[int, int]) -> Cost:
+    """A skeleton op's cost over c channels at `spatial`, from the op's row."""
+    return Cost(0, OP_INFO[op].per_element * c * spatial[0] * spatial[1])
+
+
 def stem_cost(in_channels: int, stem_channels: int, resolution: tuple[int, int]) -> tuple[tuple[str, Cost], ...]:
-    (h1, w1), (h2, w2) = stem_spatial(resolution)
+    s1, s2 = stem_spatial(resolution)
     return (
-        ("conv3x3_s2_a", conv2d_cost(in_channels, stem_channels, 3, h1, w1)),
-        ("gelu_a", Cost(0, 3 * stem_channels * h1 * w1)),
-        ("conv3x3_s2_b", conv2d_cost(stem_channels, stem_channels, 3, h2, w2)),
-        ("gelu_b", Cost(0, 3 * stem_channels * h2 * w2)),
+        ("conv3x3_s2_a", conv2d_cost(in_channels, stem_channels, 3, *s1)),
+        ("gelu_a", _per_element(OpKind.GELU, stem_channels, s1)),
+        ("conv3x3_s2_b", conv2d_cost(stem_channels, stem_channels, 3, *s2)),
+        ("gelu_b", _per_element(OpKind.GELU, stem_channels, s2)),
     )
-
-
-def pool_cost(c_in: int, out_spatial: tuple[int, int]) -> Cost:
-    return Cost(0, 9 * c_in * out_spatial[0] * out_spatial[1])
 
 
 def head_cost(c_in: int, num_classes: int, in_spatial: tuple[int, int]) -> tuple[tuple[str, Cost], ...]:
     return (
-        ("global_avg", Cost(0, c_in * in_spatial[0] * in_spatial[1])),
+        ("global_avg", _per_element(OpKind.GLOBAL_AVG, c_in, in_spatial)),
         ("fc", Cost(c_in * num_classes + num_classes, 2 * c_in * num_classes)),
     )
 
@@ -112,7 +113,7 @@ def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> T
     from that conv's standalone cost to its fused-input cost."""
     st = spec.stages[si]
     c_in = spec.stage_entry(si)[0]
-    pool = pool_cost(c_in, st.spatial)
+    pool = _per_element(OpKind.MAXPOOL, c_in, st.spatial)
     if first_op in FUSABLE_OPS:
         adj = fused_conv_cost(first_op, c_in, st.shape) - fused_conv_cost(first_op, st.channels, st.shape)
         return TransitionCost(pool, None, adj)

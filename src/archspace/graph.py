@@ -39,7 +39,7 @@ class NodeShapes(NamedTuple):
 
 
 class Ports(NamedTuple):
-    """node -> its in edges and its out edges, each list in edge order."""
+    """node -> its in edges and its out edges, each list in port order (ties in edge order)."""
 
     ins: dict[int, list[Edge]]
     outs: dict[int, list[Edge]]
@@ -59,7 +59,7 @@ class BlockGraph:
         return BlockGraph(shape, {}, (Edge(INPUT, 0, OUTPUT, 0),), {})
 
     def out_edges(self, v: int) -> list[Edge]:
-        return sorted(self.ports.outs.get(v, ()), key=lambda e: e.src_port)
+        return self.ports.outs.get(v, [])
 
     def first_interior(self) -> Optional[int]:
         """The unique successor of the virtual input; None for identity blocks."""
@@ -72,11 +72,12 @@ class BlockGraph:
     @cached_property
     def ports(self) -> Ports:
         """The edge index, kept with the block; every reader shares it, so none
-        may modify it.  Built here in one pass over the edges for a root block;
-        `child_block` sets a child's from its parent's."""
+        may modify it.  Built here for a root block from the edges stably sorted
+        by port; `child_block` sets a child's from its parent's."""
         ins, outs = {}, {}
-        for e in self.edges:
+        for e in sorted(self.edges, key=itemgetter(1)):
             outs.setdefault(e.src, []).append(e)
+        for e in sorted(self.edges, key=itemgetter(3)):
             ins.setdefault(e.dst, []).append(e)
         return Ports(ins, outs)
 
@@ -130,8 +131,9 @@ def _resorted(section: tuple[list, list[str]], gone: Iterable, added: list[tuple
 
 def _reindexed(index: dict[int, list[Edge]], end: int, gone: set[Edge], added: tuple[Edge, ...]) -> dict:
     """A copy of one side of an edge index (keyed by edge field `end`: 0 src,
-    2 dst) with fresh lists for the nodes the gone and added edges touch."""
-    index = dict(index)
+    2 dst) with fresh lists for the nodes the gone and added edges touch, an
+    added edge after those of its port or a lower one (field end + 1)."""
+    index, port = dict(index), itemgetter(end + 1)
     for e in gone:
         kept = [*filterfalse(gone.__contains__, index.get(e[end], ()))]
         if kept:
@@ -139,7 +141,8 @@ def _reindexed(index: dict[int, list[Edge]], end: int, gone: set[Edge], added: t
         else:
             index.pop(e[end], None)
     for e in added:
-        index[e[end]] = [*index.get(e[end], ()), e]
+        kept = index[e[end]] = [*index.get(e[end], ())]
+        kept.insert(bisect_right(kept, e[end + 1], key=port), e)
     return index
 
 
@@ -170,10 +173,6 @@ def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Ed
     cache["_digest_items"] = tuple(map(_resorted, parent._digest_items, doomed,
                                        _digest_sections(ops, edges, couples)))
     return child
-
-
-def _by_dst_port(edges: list[Edge]) -> list[Edge]:
-    return sorted(edges, key=lambda e: e.dst_port) if len(edges) > 1 else edges
 
 
 def bfs_reachable(step: Callable[[int], Iterable[int]], starts: Iterable[int]) -> set[int]:
@@ -245,7 +244,7 @@ def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes
     for v in order:
         op = ops[v]
         ins = []
-        for e in _by_dst_port(in_edges.get(v, ())):
+        for e in in_edges.get(v, ()):
             key = e[:2]
             if key not in producers:
                 raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
@@ -307,17 +306,20 @@ def _port_violations(block: BlockGraph) -> list[str]:
            for e in edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
     if bad:
         return bad
-    ins, outs = block.ports
-    _expect(bad, INPUT, [e.src_port for e in outs.get(INPUT, ())], 1, "output")
-    _expect(bad, OUTPUT, [e.dst_port for e in ins.get(OUTPUT, ())], 1, "input")
-    if INPUT in ins:
+    in_ports, out_ports = {}, {}  # node -> its port of each edge on that side, in edge order
+    for e in edges:
+        out_ports.setdefault(e.src, []).append(e.src_port)
+        in_ports.setdefault(e.dst, []).append(e.dst_port)
+    _expect(bad, INPUT, out_ports.get(INPUT, []), 1, "output")
+    _expect(bad, OUTPUT, in_ports.get(OUTPUT, []), 1, "input")
+    if INPUT in in_ports:
         bad.append("virtual input has incoming edges")
-    if OUTPUT in outs:
+    if OUTPUT in out_ports:
         bad.append("virtual output has outgoing edges")
     for v, op in ops.items():
         info = OP_INFO[op]
-        _expect(bad, v, [e.dst_port for e in ins.get(v, ())], info.in_arity, "input")
-        _expect(bad, v, [e.src_port for e in outs.get(v, ())], info.out_arity, "output")
+        _expect(bad, v, in_ports.get(v, []), info.in_arity, "input")
+        _expect(bad, v, out_ports.get(v, []), info.out_arity, "output")
     return bad
 
 

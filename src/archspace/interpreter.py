@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph import BlockGraph, INPUT, OUTPUT, _by_dst_port, infer_shapes, topo_order, upsample_source
+from .graph import BlockGraph, INPUT, OUTPUT, infer_shapes, topo_order, upsample_source
 from .network import ExecutablePlan
 from .ops import OP_INFO, OpKind
 from .rng import Rng
@@ -267,7 +267,7 @@ def _run(block, params, x, entry_in_channels=None):
     in_edges = block.ports.ins
     for v in topo_order(block):
         op = block.ops[v]
-        ins = node_ins[v] = [produced[(e.src, e.src_port)] for e in _by_dst_port(in_edges.get(v, []))]
+        ins = node_ins[v] = [produced[(e.src, e.src_port)] for e in in_edges.get(v, [])]
         hw = upsample_source(block, v, node_ins)[0].shape[2:] if op is OpKind.UP_SAMPLE else None
         outs = _FORWARD[op](ins, params.tensors.get(v, {}), OP_INFO[op], hw)
         for port, arr in enumerate(outs):
@@ -526,7 +526,7 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
         else:
             align = lambda a: a[start:start + rows, None]  # noqa: E731
         outs = [tape.values[(v, p)] for p in ports]
-        edges = _by_dst_port(in_edges[v])
+        edges = in_edges[v]
         ins = [tape.values[(e.src, e.src_port)] for e in edges]
         want = [e.src in needs for e in edges]
         gins, node_grads = _vjp_node(tape, v, op, gs, ins, outs,

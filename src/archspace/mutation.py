@@ -8,13 +8,13 @@ budget; after n_try failed attempts the step is a no-op.
 
 Insertion templates are the minimal shape-restoring closures of their
 head node, so a template can be spliced into any edge whose shape the head
-op accepts (`ops.transfer` decides).  `TEMPLATES` is the one definition:
-
-* single shape-preserving ops (Softmax ... RelPosBias) insert alone;
-* Chunk2/Chunk3 insert with Concat2/Concat3 wired straight across;
-* Copy inserts with Add or Multiply (two parallel empty branches);
-* ConvExp4 with ConvRed4; GlobalAvg with UpSample;
-* ConvChunk3 with the attention merge Matmul1 -> Softmax -> Matmul2.
+op accepts (`ops.transfer` decides).  `TEMPLATES` is derived from the op
+rows (`ops.OP_INFO`): every shape-preserving op inserts alone, named by its
+lower-cased name (MaxPool2d as ``maxpool``); six head -> tail pairs wire the
+head's output ports straight across and couple the two (Chunk2/3 with
+Concat2/3, Copy with Add or Multiply, ConvExp4 with ConvRed4, GlobalAvg with
+UpSample); only the attention core, ConvChunk3 with Matmul1 -> Softmax ->
+Matmul2, is a literal.
 
 Dimension-changing or multi-output ops never enter a graph alone, which
 is what keeps every intermediate network valid.
@@ -55,36 +55,29 @@ class Template(NamedTuple):
     couple: tuple[int, ...] = ()
 
 
-_PAIR = ((0, 0, 1, 0),)
-_TWO_PORTS = ((0, 0, 1, 0), (0, 1, 1, 1))
+def _name(op: OpKind) -> str:
+    return "maxpool" if op is OpKind.MAXPOOL else op.value.lower()  # the log name predates "2d"
 
-TEMPLATES = {
-    "softmax": Template((OpKind.SOFTMAX,)),
-    "dropout": Template((OpKind.DROPOUT,)),
-    "maxpool": Template((OpKind.MAXPOOL,)),
-    "mask": Template((OpKind.MASK,)),
-    "sigmoid": Template((OpKind.SIGMOID,)),
-    "gelu": Template((OpKind.GELU,)),
-    "conv1": Template((OpKind.CONV1,)),
-    "conv3": Template((OpKind.CONV3,)),
-    "convdepth3": Template((OpKind.CONV_DEPTH3,)),
-    "convdepth5": Template((OpKind.CONV_DEPTH5,)),
-    "batchnorm": Template((OpKind.BATCH_NORM,)),
-    "layernorm": Template((OpKind.LAYER_NORM,)),
-    "relposbias": Template((OpKind.REL_POS_BIAS,)),
-    "chunk2_concat2": Template((OpKind.CHUNK2, OpKind.CONCAT2), _TWO_PORTS, (0, 1)),
-    "chunk3_concat3": Template((OpKind.CHUNK3, OpKind.CONCAT3),
-                               _TWO_PORTS + ((0, 2, 1, 2),), (0, 1)),
-    "copy_add": Template((OpKind.COPY, OpKind.ADD), _TWO_PORTS, (0, 1)),
-    "copy_multiply": Template((OpKind.COPY, OpKind.MULTIPLY), _TWO_PORTS, (0, 1)),
-    "convexp4_convred4": Template((OpKind.CONV_EXP4, OpKind.CONV_RED4), _PAIR, (0, 1)),
-    "globalavg_upsample": Template((OpKind.GLOBAL_AVG, OpKind.UP_SAMPLE), _PAIR, (0, 1)),
-    "attention": Template(
+
+def _pair(head: OpKind, tail: OpKind) -> tuple[str, Template]:
+    """head -> tail, the head's output ports wired straight across to the
+    tail's inputs, the two coupled; named head_tail."""
+    wires = tuple((0, p, 1, p) for p in range(OP_INFO[head].out_arity))
+    return f"{_name(head)}_{_name(tail)}", Template((head, tail), wires, (0, 1))
+
+
+TEMPLATES = dict([
+    *((_name(op), Template((op,))) for op, info in OP_INFO.items() if info.preserves_shape),
+    *(_pair(head, tail) for head, tail in (
+        (OpKind.CHUNK2, OpKind.CONCAT2), (OpKind.CHUNK3, OpKind.CONCAT3), (OpKind.COPY, OpKind.ADD),
+        (OpKind.COPY, OpKind.MULTIPLY), (OpKind.CONV_EXP4, OpKind.CONV_RED4),
+        (OpKind.GLOBAL_AVG, OpKind.UP_SAMPLE))),
+    ("attention", Template(
         (OpKind.CONV_CHUNK3, OpKind.MATMUL1, OpKind.SOFTMAX, OpKind.MATMUL2),
         ((0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 2, 0), (2, 0, 3, 0), (0, 2, 3, 1)),
         (0, 1, 3),
-    ),
-}
+    )),
+])
 
 TEMPLATE_NAMES = tuple(TEMPLATES)
 

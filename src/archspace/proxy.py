@@ -184,8 +184,6 @@ def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
     store = init_params(block, rng.child(0))
     if store.scalar_count() == 0:
         return 0.0
-    if batch_size < MIN_BATCH:
-        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
     shape = block.input_shape
     batch = rng.child(1).normal((batch_size, *shape))
     u = rng.child(2).normal(shape.numel)
@@ -211,6 +209,8 @@ def score_network(
         return cost_score(network_cost(spec).total, proxy_id)
     if proxy_id is ProxyId.RANDOM:
         return ProxyScore(rng.uniform(), (), proxy_id)
+    if batch_size < MIN_BATCH:
+        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
 
     def one(i: int) -> float:
         return _score_one_block(spec.blocks[i], rng.child(i), batch_size)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from .cost import Budget
 from .errors import BudgetError
 from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
@@ -40,6 +41,8 @@ class WalkConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -62,6 +65,10 @@ class EvoConfig:
             raise ValueError("population_size must be >= 1")
         if self.population_size > self.total_steps:
             raise ValueError("population_size must not exceed total_steps")
+        if self.steps_per_candidate < 0:
+            raise ValueError("steps_per_candidate must be >= 0")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -111,25 +118,18 @@ def _steps(state: CostState, cfg: WalkConfig | EvoConfig, streams: Iterable[Rng]
 
 
 def random_walk(seed_net: NetworkSpec, cfg: WalkConfig) -> tuple[NetworkSpec, SearchLog]:
-    """cfg.steps sequential propose/apply steps; returns (final net, log)."""
+    """cfg.steps sequential propose/apply steps; returns (final net, log).  The
+    seed is step 0; a step off the record_every grid is logged only if it edits."""
     state = _seed_state(seed_net, cfg.budget)
     root = Rng(cfg.seed)
     log = SearchLog()
-    log.append(step=0, edit=None, params=state.total.params, flops=state.total.flops,
-               op_flops=_op_flops_json(state))
     streams = (root.child(1, step) for step in range(1, cfg.steps + 1))
-    for step, (state, edit) in enumerate(_steps(state, cfg, streams), 1):
-        if step % cfg.record_every == 0 or step == cfg.steps:
-            log.append(
-                step=step,
-                edit=None if edit is None else edit.to_json(),
-                params=state.total.params,
-                flops=state.total.flops,
-                op_flops=_op_flops_json(state),
-            )
-        elif edit is not None:
-            log.append(step=step, edit=edit.to_json(),
-                       params=state.total.params, flops=state.total.flops)
+    for step, (state, edit) in chain([(0, (state, None))], enumerate(_steps(state, cfg, streams), 1)):
+        full = step % cfg.record_every == 0 or step == cfg.steps
+        if full or edit is not None:
+            log.append(step=step, edit=None if edit is None else edit.to_json(),
+                       params=state.total.params, flops=state.total.flops,
+                       **({"op_flops": _op_flops_json(state)} if full else {}))
     return state.spec, log
 
 

@@ -39,7 +39,7 @@ from archspace.interpreter import (
     matmul2,
     sigmoid,
 )
-from archspace.mutation import Edit, apply_block_edit
+from archspace.mutation import Edit, Template, apply_block_edit
 from archspace.ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, rel_pos_bias_table
 
 
@@ -521,12 +521,51 @@ def out_edges_oracle(block, v):
 # a child block carried its parent's edge index and digest items.
 
 def ports_oracle(block):
-    """The edge index, built in one pass over the block's edges."""
+    """The edge index, built in one pass over the block's edges, then each
+    list stably sorted by its port: ins by dst_port, outs by src_port."""
     ins, outs = {}, {}
     for e in block.edges:
         outs.setdefault(e.src, []).append(e)
         ins.setdefault(e.dst, []).append(e)
-    return Ports(ins, outs)
+    return Ports({v: sorted(es, key=lambda e: e.dst_port) for v, es in ins.items()},
+                 {v: sorted(es, key=lambda e: e.src_port) for v, es in outs.items()})
+
+
+# --- insertion templates as a literal table -------------------------------------
+#
+# `mutation.TEMPLATES` as it read before it was derived from the op rows.  Key
+# order matters: `propose_step` draws a feasible template by index.
+
+_PAIR = ((0, 0, 1, 0),)
+_TWO_PORTS = ((0, 0, 1, 0), (0, 1, 1, 1))
+
+TEMPLATES_ORACLE = {
+    "softmax": Template((OpKind.SOFTMAX,)),
+    "dropout": Template((OpKind.DROPOUT,)),
+    "maxpool": Template((OpKind.MAXPOOL,)),
+    "mask": Template((OpKind.MASK,)),
+    "sigmoid": Template((OpKind.SIGMOID,)),
+    "gelu": Template((OpKind.GELU,)),
+    "conv1": Template((OpKind.CONV1,)),
+    "conv3": Template((OpKind.CONV3,)),
+    "convdepth3": Template((OpKind.CONV_DEPTH3,)),
+    "convdepth5": Template((OpKind.CONV_DEPTH5,)),
+    "batchnorm": Template((OpKind.BATCH_NORM,)),
+    "layernorm": Template((OpKind.LAYER_NORM,)),
+    "relposbias": Template((OpKind.REL_POS_BIAS,)),
+    "chunk2_concat2": Template((OpKind.CHUNK2, OpKind.CONCAT2), _TWO_PORTS, (0, 1)),
+    "chunk3_concat3": Template((OpKind.CHUNK3, OpKind.CONCAT3),
+                               _TWO_PORTS + ((0, 2, 1, 2),), (0, 1)),
+    "copy_add": Template((OpKind.COPY, OpKind.ADD), _TWO_PORTS, (0, 1)),
+    "copy_multiply": Template((OpKind.COPY, OpKind.MULTIPLY), _TWO_PORTS, (0, 1)),
+    "convexp4_convred4": Template((OpKind.CONV_EXP4, OpKind.CONV_RED4), _PAIR, (0, 1)),
+    "globalavg_upsample": Template((OpKind.GLOBAL_AVG, OpKind.UP_SAMPLE), _PAIR, (0, 1)),
+    "attention": Template(
+        (OpKind.CONV_CHUNK3, OpKind.MATMUL1, OpKind.SOFTMAX, OpKind.MATMUL2),
+        ((0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 2, 0), (2, 0, 3, 0), (0, 2, 3, 1)),
+        (0, 1, 3),
+    ),
+}
 
 
 def digest_oracle(block):

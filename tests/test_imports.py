@@ -1,5 +1,5 @@
 """Every module-level import in the package's modules is used, and so is
-every module-level private name.
+every module-level private name, and no module imports another's private name.
 
 A name an import binds must be referenced somewhere in its module.
 ``__init__.py`` is exempt: its imports are the package's re-exports.  A
@@ -61,3 +61,12 @@ def test_no_orphaned_private_names():
     orphans = [f"{name}: {d}" for name, t in trees.items() for d in _private_definitions(t)
                if d not in referenced]
     assert orphans == []
+
+
+def test_no_module_imports_a_private_name():
+    """A module reaches another only through its public names."""
+    imported = [f"{p.name}: {alias.name}" for p in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []

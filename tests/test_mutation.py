@@ -32,7 +32,13 @@ from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
 from archspace.serialize import parse_document, serialize
 
-from _oracles import digest_oracle, excise_boundary_oracle, ports_oracle, template_node_shapes_oracle
+from _oracles import (
+    TEMPLATES_ORACLE,
+    digest_oracle,
+    excise_boundary_oracle,
+    ports_oracle,
+    template_node_shapes_oracle,
+)
 
 
 def residual_with_conv1(shape=Shape(4, 3, 3)):
@@ -295,6 +301,12 @@ def test_rules_cover_every_template_feasibility():
     assert not template_feasible("relposbias", Shape(4, 8, 4))
     assert template_feasible("relposbias", Shape(4, 9, 4))
     assert template_feasible("attention", Shape(1, 1, 1))
+
+
+def test_templates_derived_from_op_rows_match_the_literal_table():
+    # Equal as dicts and in key order, which `propose_step` draws by index.
+    assert TEMPLATES == TEMPLATES_ORACLE
+    assert list(TEMPLATES) == list(TEMPLATES_ORACLE) == list(TEMPLATE_NAMES)
 
 
 def _shapes_or_error(fn, name, shape, ids):

@@ -179,9 +179,11 @@ def test_cost_score_refuses_proxies_that_are_not_costs(proxy):
 
 
 def test_small_batch_rejected():
-    spec = a.make_network(2, (16, 16), (1,), (2,), 10, blocks=[_single_conv_block(c=2, h=2, w=2)])
-    with pytest.raises(ValueError, match="at least 10 samples"):
-        score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=4)
+    # Refused before any block is scored, so a parameter-free network is refused too.
+    for block in (_single_conv_block(c=2, h=2, w=2), a.build("identity", Shape(2, 2, 2))):
+        spec = a.make_network(2, (16, 16), (1,), (2,), 10, blocks=[block])
+        with pytest.raises(ValueError, match="at least 10 samples"):
+            score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=4)
 
 
 def test_vkdnw_score_deterministic_and_thread_invariant():

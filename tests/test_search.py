@@ -79,6 +79,24 @@ def test_walk_config_refuses_record_every_below_one(desk_budget):
             WalkConfig(steps=5, budget=desk_budget, seed=0, record_every=record_every)
 
 
+def test_walk_config_refuses_negative_steps(desk_budget):
+    WalkConfig(steps=0, budget=desk_budget, seed=0)
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        WalkConfig(steps=-5, budget=desk_budget, seed=0)
+
+
+def test_evo_config_refuses_negative_steps_per_candidate():
+    EvoConfig(steps_per_candidate=0)
+    with pytest.raises(ValueError, match="steps_per_candidate"):
+        EvoConfig(steps_per_candidate=-2)
+
+
+def test_evo_config_refuses_threads_below_one():
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            EvoConfig(threads=threads)
+
+
 def test_evo_config_refuses_an_empty_population():
     for total_steps in (0, 10):
         with pytest.raises(ValueError, match="population_size"):

@@ -341,3 +341,18 @@ def test_each_corruption_kind_reaches_its_violation():
     swapped = swap_in_ports(lambda _strategy: queue.pop(0), blk)
     assert swapped.edges != blk.edges and validate(swapped).ok
     assert_matches_oracle(swapped)
+
+
+def test_out_of_range_ports_are_worded_in_edge_order():
+    # The edge index keeps each list in port order; the worded port check
+    # must still list a node's out-of-range ports as the edges give them.
+    blk = a.build("attention2h", Shape(8, 4, 4))
+    add = next(v for v, op in blk.ops.items() if op is OpKind.ADD)
+    into = [k for k, e in enumerate(blk.edges) if e.dst == add]
+    edges = list(blk.edges)
+    for k, port in zip(into, (7, 5)):
+        edges[k] = edges[k]._replace(dst_port=port)
+    bad = _with(blk, edges=edges)
+    worded = [f"node {add} input port {p} out of range" for p in (7, 5)]
+    assert [v for v in validate(bad).violations if v in worded] == worded
+    assert_matches_oracle(bad)
