@@ -298,11 +298,13 @@ def forward(
 # * diagonal (S == 1): row k lives on sample start+k alone, which holds
 #   from the block output back to the first op that mixes samples;
 # * full (S == N): row k spans the whole batch.  BatchNorm is the only op
-#   that mixes samples, so its rule turns diagonal rows full.
+#   that mixes samples; its rule takes rows in either form and returns full
+#   ones.
 #
 # A forward array (N, ...) meets a cotangent through ``align``: x[None] for
 # full rows, x[start:start+R, None] for diagonal ones; both broadcast against
-# (R, S, ...).  Parameter gradients come out per row, (R, *param.shape).
+# (R, S, ...), and align(arange(N)) names the sample of each entry.
+# Parameter gradients come out per row, (R, *param.shape).
 
 _MIXES_SAMPLES = frozenset({OpKind.BATCH_NORM})
 
@@ -434,16 +436,24 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         gx, grads = vjp(g, x, params["weight"], align, want[0])
         return [gx], grads
     if op is OpKind.BATCH_NORM:
-        # Rows are full here: statistics couple every sample of the batch.
+        # Statistics couple every sample, so the input cotangent spans the
+        # batch whichever form the rows arrive in: k (g - gb/m - xn gsc/m),
+        # with g only on the samples its rows live on.
         xn, inv = _cached(tape, v, lambda: _norm_stats(x, (0, 2, 3), _BN_EPS))
         m = x.shape[0] * x.shape[2] * x.shape[3]
         gb = g.sum(axis=(1, 3, 4))
-        gsc = np.einsum("rnchw,nchw->rc", g, xn, optimize=True)
+        gsc = _ein("rschw,rschw->rc", g, align(xn))
         grads = {"scale": gsc, "shift": gb}
         if not want[0]:
             return [None], grads
-        k = inv[None] * params["scale"][:, None, None]
-        gx = k * (g - (gb / m)[:, None, :, None, None] - xn[None] * (gsc / m)[:, None, :, None, None])
+        k = inv[0, :, 0, 0] * params["scale"]
+        gx = xn[None] * (-k / m * gsc)[:, None, :, None, None]
+        gx += (-k / m * gb)[:, None, :, None, None]
+        kg = k[:, None, None] * g
+        if g.shape[1] == 1:
+            gx[np.arange(g.shape[0]), align(np.arange(x.shape[0]))[:, 0]] += kg[:, 0]
+        else:
+            gx += kg
         return [gx], grads
     if op is OpKind.LAYER_NORM:
         xn, inv = _cached(tape, v, lambda: _norm_stats(x, 1, _LN_EPS))
@@ -519,8 +529,7 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
         op = block.ops[v]
         ports = range(OP_INFO[op].out_arity)
         gs = [pending.pop((v, p)) for p in ports]
-        full = op in _MIXES_SAMPLES or any(g.shape[1] != 1 for g in gs)
-        if full:
+        if any(g.shape[1] != 1 for g in gs):
             gs = [_to_full(g, start, n) if g.shape[1] == 1 else g for g in gs]
             align = lambda a: a[None]  # noqa: E731
         else:

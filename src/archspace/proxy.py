@@ -14,12 +14,12 @@ stem/transition/head parameters are excluded and reports say so.
 The (B, P) gradient matrix G comes from reverse mode: one sweep of the
 interpreter's backward rules per chunk of rows, where row i carries u on
 sample i, so BatchNorm's coupling of the samples is kept exactly.  The
-spectrum never builds the P x P matrix: F = G^T G / B has at most B nonzero
-eigenvalues, the squared singular values of G over B (the eigenvalues of
-the B x B Gram matrix G G^T / B), and the other P - B are exact zeros.  So a
-block with P >= 10 B has nine zero deciles and scores exactly 0, and there
-is no parameter ceiling.  Central finite differences (``fd_gradients``)
-remain as the test oracle for the gradients.
+spectrum never builds the P x P matrix when P > B: F = G^T G / B has at most
+B nonzero eigenvalues, those of the B x B Gram matrix G G^T / B, and the
+other P - B are exact zeros.  So a block with P >= 10 B has nine zero
+deciles and scores exactly 0, and there is no parameter ceiling.  Central
+finite differences (``fd_gradients``) remain as the test oracle for the
+gradients.
 
 Baseline proxies for ablation plumbing: negparams / negflops (``cost_score``
 of a network total, negated so maximization prefers smaller; ``evolve``
@@ -148,17 +148,18 @@ def spectrum_of(g: np.ndarray) -> FisherSpectrum:
     """Eigenvalues of F = G^T G / B for the (B, P) gradient matrix G, and
     their nine interior deciles.
 
-    The eigenvalues are G's squared singular values over B, padded with
-    exact zeros to length P; singular values under numpy's matrix_rank
-    tolerance are roundoff and count as zeros.
+    The nonzero eigenvalues are those of the smaller Gram matrix, G G^T when
+    B <= P or G^T G when P < B, over B, padded with exact zeros to length P.
+    Gram eigenvalues at or below lambda_0 max(B, P) eps, lambda_0 the
+    largest, are roundoff (negative ones included) and count as zeros.
     """
     b, p = g.shape
     if p == 0:
         return FisherSpectrum((), (0.0,) * 9)
-    sv = np.linalg.svd(g, compute_uv=False)
-    sv[sv <= sv[0] * max(b, p) * np.finfo(float).eps] = 0.0
+    lam = np.linalg.eigvalsh(g @ g.T if b <= p else g.T @ g)
+    lam[lam <= lam[-1] * max(b, p) * np.finfo(float).eps] = 0.0
     eig = np.zeros(p)
-    eig[:sv.size] = sv * sv / b
+    eig[:lam.size] = lam / b
     eig.sort()
     deciles = np.quantile(eig, [k / 10 for k in range(1, 10)], method="linear")
     return FisherSpectrum(tuple(eig[::-1]), tuple(float(d) for d in deciles))
@@ -205,6 +206,8 @@ def score_network(
 ) -> ProxyScore:
     """Score a network; per-block streams derive from (rng, block index),
     so serial and threaded runs produce identical values."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if proxy_id in COST_PROXIES:
         return cost_score(network_cost(spec).total, proxy_id)
     if proxy_id is ProxyId.RANDOM:

@@ -30,6 +30,7 @@ from archspace.graph import (
     ValidationReport,
 )
 from archspace.interpreter import (
+    _BN_EPS,
     ParamStore,
     _band,
     _rel_pos_add,
@@ -41,6 +42,7 @@ from archspace.interpreter import (
 )
 from archspace.mutation import Edit, Template, apply_block_edit
 from archspace.ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, rel_pos_bias_table
+from archspace.proxy import FisherSpectrum
 
 
 def matmul1_loops(x, y):
@@ -209,6 +211,41 @@ def maxpool_vjp_loops(g, x, masks, align):
         dy, dx = divmod(i, 3)
         gx[:, :, :, dy:dy + h, dx:dx + w] += g * align(m)
     return gx[:, :, :, 1:-1, 1:-1]
+
+
+def batchnorm_vjp_full_oracle(g, x, scale, start):
+    """BatchNorm's input cotangent and parameter gradients over rows that span
+    the whole batch: a per-sample row (R, 1, C, H, W) is first written into a
+    zero (R, N, C, H, W) cotangent on its own sample start + r."""
+    rows, n = g.shape[0], x.shape[0]
+    if g.shape[1] == 1:
+        full = np.zeros((rows, n, *g.shape[2:]))
+        full[np.arange(rows), start + np.arange(rows)] = g[:, 0]
+        g = full
+    inv = 1.0 / np.sqrt(x.var(axis=(0, 2, 3), keepdims=True) + _BN_EPS)
+    xn = (x - x.mean(axis=(0, 2, 3), keepdims=True)) * inv
+    m = n * x.shape[2] * x.shape[3]
+    gb = g.sum(axis=(1, 3, 4))
+    gsc = np.einsum("rnchw,nchw->rc", g, xn)
+    k = inv[None] * scale[:, None, None]
+    gx = k * (g - (gb / m)[:, None, :, None, None] - xn[None] * (gsc / m)[:, None, :, None, None])
+    return gx, {"scale": gsc, "shift": gb}
+
+
+def spectrum_svd_oracle(g):
+    """The Fisher spectrum of a (B, P) gradient matrix from G's singular
+    values: squared over B and padded with exact zeros to length P, where
+    singular values at or below s_0 max(B, P) eps count as zeros."""
+    b, p = g.shape
+    if p == 0:
+        return FisherSpectrum((), (0.0,) * 9)
+    sv = np.linalg.svd(g, compute_uv=False)
+    sv[sv <= sv[0] * max(b, p) * np.finfo(float).eps] = 0.0
+    eig = np.zeros(p)
+    eig[:sv.size] = sv * sv / b
+    eig.sort()
+    deciles = np.quantile(eig, [k / 10 for k in range(1, 10)], method="linear")
+    return FisherSpectrum(tuple(eig[::-1]), tuple(float(d) for d in deciles))
 
 
 def attention2h_oracle(block, store, x):

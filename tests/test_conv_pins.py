@@ -7,9 +7,11 @@ one with a fused and an unfused stage.
 
 The pins were recorded before the convolution geometry moved into one
 table, the network logits again when GELU moved from scipy's erf to
-math.erf, and the unfused and mixed networks before a stage's input
-channels and projection fusion were read from NetworkSpec.stage_entry; a deliberate change of these bytes updates them and is recorded
-in CHANGES.md.
+math.erf, the unfused and mixed networks before a stage's input channels
+and projection fusion were read from NetworkSpec.stage_entry, and the
+BatchNorm block's gradients when BatchNorm's backward rule began to take
+per-sample rows itself; a deliberate change of these bytes updates them and
+is recorded in CHANGES.md.
 """
 
 import hashlib
@@ -49,7 +51,7 @@ BLOCK_PINS = {
               "64765cd302bcb43632980bac1398a5a17fbec9ea27f2f5e7b00f9dd35a61269b"),
     "convs_batchnorm": ("4d1e67baa80c54134e96ac2bf78b56270437ee69ede719277fcbabb2cef6c435",
                         "5fc44489f101cfa94ba8cf18ee47c6b97a50edb0827ef65e445082a74f20673b",
-                        "deb4e74af8b58d4c03a91c113bac368a6f8685457f52d66b38531c0ffaf38c7d"),
+                        "0a3c5c73e98aea9d542a9fc92a264e33a6fa8c433d5255767b330d2cc29bcbf1"),
 }
 
 # Per network: the templates along each stage's leading block, and whether

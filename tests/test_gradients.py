@@ -1,5 +1,9 @@
-"""Reverse-mode block gradients against the finite-difference oracle, and the
-Gram-dual spectrum against a dense P x P eigendecomposition."""
+"""Reverse-mode block gradients against the finite-difference oracle,
+BatchNorm's backward rule against its full-row form, and the Gram-dual
+spectrum against a dense P x P eigendecomposition and against G's singular
+values."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +11,14 @@ import pytest
 import archspace as a
 from archspace import proxy
 from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
-from archspace.interpreter import init_params
+from archspace.interpreter import Tape, _vjp_node, init_params
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
 from archspace.ops import OpKind, Shape
-from archspace.proxy import block_gradients, fd_gradients, spectrum_of
+from archspace.proxy import ProxyId, block_gradients, fd_gradients, score_network, spectrum_of
 from archspace.rng import Rng
+
+from _oracles import batchnorm_vjp_full_oracle, spectrum_svd_oracle
+from test_vkdnw_pins import BATCH as POOL_BATCH, pool_networks
 
 BATCH = 10
 
@@ -151,3 +158,91 @@ def test_gram_dual_zeroes_singular_values_past_the_rank():
     assert spec.deciles[:8] == (0.0,) * 8
     np.testing.assert_allclose(spec.deciles[8], 0.1 * top[2], rtol=1e-9)
     assert proxy.vkdnw_score(spec) == 0.0
+
+
+def _batchnorm_vjp(g, x, scale, start, want_x=True):
+    rows = g.shape[0]
+    align = (lambda a: a[None]) if g.shape[1] != 1 else (lambda a: a[start:start + rows, None])
+    tape = Tape(block=None, params=None, values={})
+    gins, grads = _vjp_node(tape, 0, OpKind.BATCH_NORM, [g], [x], [None],
+                            {"scale": scale, "shift": np.zeros_like(scale)}, align, [want_x])
+    return gins[0], grads
+
+
+# (rows, samples per row, start): per-sample rows from the batch's first
+# sample and from a later one, and rows spanning the batch (a BatchNorm with
+# another one downstream).
+BN_ROWS = {"sample_rows_at_0": (4, 1, 0), "sample_rows_at_5": (4, 1, 5), "full_rows": (4, 10, 0)}
+
+
+@pytest.mark.parametrize("want_x", [True, False])
+@pytest.mark.parametrize("form", BN_ROWS)
+def test_batchnorm_rule_matches_its_full_row_form(form, want_x):
+    rows, s, start = BN_ROWS[form]
+    rng = Rng(60)
+    x, scale = rng.child(0).normal((10, 3, 2, 3)), rng.child(1).normal(3)
+    g = rng.child(2).normal((rows, s, 3, 2, 3))
+    gx, grads = _batchnorm_vjp(g, x, scale, start, want_x)
+    gx_want, grads_want = batchnorm_vjp_full_oracle(g, x, scale, start)
+    assert list(grads) == list(grads_want)
+    for name in grads:
+        np.testing.assert_allclose(grads[name], grads_want[name], rtol=1e-12,
+                                   atol=1e-12 * np.abs(grads_want[name]).max())
+    if not want_x:
+        assert gx is None
+        return
+    assert gx.shape == gx_want.shape == (rows, 10, 3, 2, 3)
+    np.testing.assert_allclose(gx, gx_want, rtol=1e-12, atol=1e-12 * np.abs(gx_want).max())
+
+
+def test_batchnorm_rule_on_sample_rows_peaks_under_the_full_row_rule():
+    """Per-sample rows at the pool's (64, 1, 8, 2, 2): the input cotangent spans
+    the batch, and at its peak the rule allocates at most 2.14 times that
+    cotangent's bytes, what the full-row rule took on rows already spread over
+    the batch (3.14 counting the spread).  It reads 1.14."""
+    x, scale = Rng(50).normal((64, 8, 2, 2)), Rng(51).normal(8)
+    g = Rng(53).normal((64, 1, 8, 2, 2))
+    tracemalloc.start()
+    try:
+        gx, _ = _batchnorm_vjp(g, x, scale, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / gx.nbytes <= 2.14
+
+
+def _assert_spectrum_matches_svd(g):
+    """The same count of exact zeros as G's singular values give, and deciles
+    within 1e-9 of the largest eigenvalue."""
+    got, want = spectrum_of(g), spectrum_svd_oracle(g)
+    assert len(got.eigenvalues) == len(want.eigenvalues) == g.shape[1]
+    assert got.eigenvalues.count(0.0) == want.eigenvalues.count(0.0)
+    np.testing.assert_allclose(got.deciles, want.deciles, rtol=0.0, atol=1e-9 * want.eigenvalues[0])
+
+
+def test_spectrum_matches_the_svd_on_every_pool_block(monkeypatch):
+    seen = []
+
+    def recorded(g):
+        seen.append(g.copy())
+        return spectrum_of(g)
+
+    monkeypatch.setattr(proxy, "spectrum_of", recorded)
+    nets = pool_networks()
+    for j, net in enumerate(nets):
+        score_network(net, ProxyId.VKDNW, Rng(0).child(j), batch_size=POOL_BATCH)
+    assert len(seen) == sum(len(net.blocks) for net in nets)
+    assert any(g.shape[1] < g.shape[0] for g in seen)  # a block with P < B
+    for g in seen:
+        _assert_spectrum_matches_svd(g)
+
+
+# Ranks below min(B, P) with B < P, and two with P < B, one of them full rank.
+@pytest.mark.parametrize("b,p,rank", [(16, 100, 11), (16, 100, 14), (64, 200, 40),
+                                      (64, 30, 20), (64, 24, 24)])
+def test_spectrum_matches_the_svd_on_synthetic_gradients(b, p, rank):
+    rng = Rng(70).child(b, p, rank)
+    g = rng.child(0).normal((b, rank)) @ rng.child(1).normal((rank, p))
+    spec = spectrum_of(g)
+    assert spec.eigenvalues.count(0.0) == p - rank
+    _assert_spectrum_matches_svd(g)

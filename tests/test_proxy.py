@@ -7,6 +7,7 @@ import archspace as a
 from archspace.graph import GraphAssembler, INPUT, OUTPUT
 from archspace.interpreter import init_params
 from archspace.ops import OpKind, Shape
+from archspace import proxy
 from archspace.proxy import (
     FisherSpectrum,
     ProxyId,
@@ -17,6 +18,8 @@ from archspace.proxy import (
     vkdnw_score,
 )
 from archspace.rng import Rng
+
+from test_vkdnw_pins import BATCH as POOL_BATCH, pool_networks
 
 LOG9 = math.log(9.0)
 
@@ -184,6 +187,30 @@ def test_small_batch_rejected():
         spec = a.make_network(2, (16, 16), (1,), (2,), 10, blocks=[block])
         with pytest.raises(ValueError, match="at least 10 samples"):
             score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=4)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_fewer_than_one_thread_rejected(threads):
+    spec = a.make_network(4, (24, 24), (1,), (4,), 10, blocks=[a.build("resnet_basic", Shape(4, 3, 3))])
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=10, threads=threads)
+
+
+def test_pool_network_scores_from_the_smaller_gram_without_svd(monkeypatch):
+    """No SVD runs, and each eigensolve takes a min(B, P) square Gram."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    grams, gs = [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: grams.append(m.shape) or eigvalsh(m))
+    monkeypatch.setattr(proxy, "spectrum_of", lambda g: gs.append(g.shape) or spectrum_of(g))
+    net = pool_networks()[2]
+    score = score_network(net, ProxyId.VKDNW, Rng(0).child(2), batch_size=POOL_BATCH)
+    assert score.value > 0.0
+    assert len(gs) == len(net.blocks) and any(p < b for b, p in gs)  # block 2 has P = 16
+    assert grams == [(min(g),) * 2 for g in gs]
 
 
 def test_vkdnw_score_deterministic_and_thread_invariant():

@@ -6,9 +6,10 @@ Unlike the four-sample block pins of test_conv_pins, these blocks sweep
 their rows over the whole batch once a BatchNorm mixes the samples, in one
 sweep or, where a cotangent would outgrow the sweep bound, in several.
 
-The pins were recorded before the window adjoint moved to a rows-last
-cotangent; a deliberate change of these bytes updates them and is recorded
-in CHANGES.md.
+The pins were recorded when the spectrum moved from G's singular values to
+the eigenvalues of the smaller Gram matrix and BatchNorm's backward rule
+began to take per-sample rows itself; a deliberate change of these bytes
+updates them and is recorded in CHANGES.md.
 """
 
 import hashlib
@@ -26,13 +27,13 @@ WALK_SEED = 7
 WALK_STEPS = (20, 40)
 
 POOL_PINS = (
-    "926f8071bd4828f32b26b76b138ccf4549ef331a9f549ce3f88e633be29ddc27",
-    "bda92d109e9c93b35038e6d16f09703909a4ea6950e9e895f68360cc61a3bad0",
-    "19a3def4a5961427045fb9a7c9f67705491b0943146f9b5d0f8067221bddd0f1",
+    "7f2d6ea001f535ea1a695452ea5f06f2b425d17205f401c6803acfe0ea3b1486",
+    "2f3a15511a2e81aa1896aa4f7e903c32e0638ac500b49b1b9891a2e341c55ef3",
+    "13f04a427d7409be3bbc4259ad0f24c8f6144a15d25ccef8ca5b46b8be50b0ff",
 )
 
 
-def _pool():
+def pool_networks():
     blocks = [
         a.build("attention2h", Shape(8, 4, 4)),
         a.build("squeeze_excite", Shape(8, 4, 4)),
@@ -52,13 +53,13 @@ def _score_digest(j, net):
 
 
 def test_vkdnw_pool_scores_are_pinned():
-    pool = _pool()
+    pool = pool_networks()
     assert tuple(_score_digest(j, net) for j, net in enumerate(pool)) == POOL_PINS
 
 
 def test_pool_reaches_full_rows_in_one_sweep_and_in_several():
     sweeps = set()
-    for net in _pool():
+    for net in pool_networks():
         for block in net.blocks:
             if OpKind.BATCH_NORM not in block.ops.values():
                 continue
