@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
+from .graph import BlockGraph, infer_shapes, topo_order
 from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
 from .ops import OP_INFO, Cost, OpKind, Shape, ZERO_COST, conv2d_cost, op_cost
 
@@ -48,10 +48,10 @@ class BlockCostReport:
     total: Cost
 
 
-def block_cost(block: BlockGraph, shapes: Optional[dict[int, NodeShapes]] = None) -> BlockCostReport:
-    """Per-node breakdown and totals at the block's inferred shapes."""
-    if shapes is None:
-        shapes = infer_shapes(block)
+def block_cost(block: BlockGraph) -> BlockCostReport:
+    """Per-node breakdown and totals at shapes inferred from the block itself,
+    not read from `BlockGraph.shapes`, so the search ledger has an oracle."""
+    shapes = infer_shapes(block)
     rows = []
     total = ZERO_COST
     for v in topo_order(block):

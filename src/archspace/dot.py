@@ -7,7 +7,7 @@ iteration everywhere) and uses only plain quoted identifiers.
 
 from __future__ import annotations
 
-from .graph import BlockGraph, INPUT, OUTPUT, bfs_reachable, infer_shapes
+from .graph import BlockGraph, INPUT, OUTPUT, bfs_reachable
 from .network import NetworkSpec
 
 
@@ -22,7 +22,7 @@ def _couple_groups(block: BlockGraph) -> dict[int, int]:
 
 
 def _block_lines(block: BlockGraph, prefix: str, title: str) -> list[str]:
-    shapes = infer_shapes(block)
+    shapes = block.shapes
     groups = _couple_groups(block)
     lines = [f'  subgraph "cluster_{prefix}" {{', f'    label="{title}";']
     lines.append(f'    "{prefix}_in" [label="input\\n{block.input_shape}", shape=oval];')

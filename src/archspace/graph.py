@@ -47,6 +47,9 @@ class Ports(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockGraph:
+    """A labeled block graph that keeps its edge index, digest items and node
+    shapes, each derived on first read or, in a child, from its parent's."""
+
     input_shape: Shape
     ops: dict[int, OpKind]                       # interior nodes only
     edges: tuple[Edge, ...]
@@ -80,6 +83,12 @@ class BlockGraph:
         for e in sorted(self.edges, key=itemgetter(3)):
             ins.setdefault(e.dst, []).append(e)
         return Ports(ins, outs)
+
+    @cached_property
+    def shapes(self) -> dict[int, NodeShapes]:
+        """The node shapes, shared by every reader, so none may modify them:
+        `infer_shapes` for a root block; `child_block` sets a child's."""
+        return infer_shapes(self)
 
     @cached_property
     def _digest_items(self) -> tuple[tuple[list, list[str]], ...]:
@@ -148,23 +157,25 @@ def _reindexed(index: dict[int, list[Edge]], end: int, gone: set[Edge], added: t
 
 def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Edge],
                 ops: dict[int, OpKind], edges: tuple[Edge, ...],
-                couples: dict[int, tuple[int, ...]]) -> BlockGraph:
-    """The parent less the dropped nodes (ops and couples entries) and the
-    removed edges, plus the given ops, edges and couples entries; next_id
-    grows past the added ids.  The parent is left as it was.
+                couples: dict[int, tuple[int, ...]], shapes: dict[int, NodeShapes]) -> BlockGraph:
+    """The parent less the dropped nodes and the removed edges, plus the given
+    ops, edges, couples entries and added nodes' shapes; next_id grows past
+    the added ids.  The parent is left as it was.
 
     The child's edges are the parent's in order, less the removed ones, then
-    the added ones.  Its edge index and digest items are derived from the
-    parent's (built first if the parent never had them), not rebuilt from
-    every edge.
+    the added ones.  Its edge index, digest items and node shapes are derived
+    from the parent's (built first if the parent never had them), not rebuilt
+    from every edge; the edit must leave every kept node's shapes as they were.
     """
     dropped, gone = tuple(dropped), set(removed)
-    new_ops, new_couples = dict(parent.ops), dict(parent.couples)
+    new_ops, new_couples, new_shapes = dict(parent.ops), dict(parent.couples), dict(parent.shapes)
     for v in dropped:
         new_ops.pop(v, None)
         new_couples.pop(v, None)
+        new_shapes.pop(v, None)
     new_ops.update(ops)
     new_couples.update(couples)
+    new_shapes.update(shapes)
     child = BlockGraph(parent.input_shape, new_ops, (*filterfalse(gone.__contains__, parent.edges), *edges),
                        new_couples, max(parent.next_id, max(ops, default=0) + 1))
     (ins, outs), cache = parent.ports, child.__dict__
@@ -172,6 +183,7 @@ def child_block(parent: BlockGraph, dropped: Iterable[int], removed: Iterable[Ed
     doomed = ((*dropped, *ops), gone, (*dropped, *couples))
     cache["_digest_items"] = tuple(map(_resorted, parent._digest_items, doomed,
                                        _digest_sections(ops, edges, couples)))
+    cache["shapes"] = new_shapes
     return child
 
 
@@ -228,14 +240,6 @@ def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
     return _infer_in_order(block, topo_order(block))
 
 
-def upsample_source(block: BlockGraph, v: int, resolved: dict):
-    """resolved[g] for the GlobalAvg g coupled to UpSample node v, whose input size v restores."""
-    gavg = next((p for p in block.couples.get(v, ()) if block.ops.get(p) is OpKind.GLOBAL_AVG), None)
-    if gavg is None or gavg not in resolved:
-        raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
-    return resolved[gavg]
-
-
 def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes]:
     """infer_shapes along an order the caller has already computed."""
     producers: dict[tuple[int, int], Shape] = {(INPUT, 0): block.input_shape}
@@ -249,7 +253,12 @@ def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes
             if key not in producers:
                 raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
             ins.append(producers[key])
-        target = upsample_source(block, v, result).in_shapes[0][1:] if op is OpKind.UP_SAMPLE else None
+        target = None
+        if op is OpKind.UP_SAMPLE:  # restores the input size of its coupled GlobalAvg
+            gavg = next((p for p in block.couples.get(v, ()) if ops.get(p) is OpKind.GLOBAL_AVG), None)
+            if gavg not in result:
+                raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
+            target = result[gavg].in_shapes[0][1:]
         outs = transfer(op, ins, v, target)
         result[v] = NodeShapes(tuple(ins), outs)
         for port, s in enumerate(outs):

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .graph import BlockGraph, INPUT, OUTPUT, infer_shapes, topo_order, upsample_source
+from .graph import BlockGraph, INPUT, OUTPUT, topo_order
 from .network import ExecutablePlan
 from .ops import OP_INFO, OpKind
 from .rng import Rng
@@ -67,7 +67,7 @@ def init_params(block: BlockGraph, rng: Rng, entry_in_channels: Optional[int] = 
     entry_in_channels overrides the input channel count of the block's
     first node when a stage projection has been fused into it.
     """
-    shapes = infer_shapes(block)
+    shapes = block.shapes
     first = block.first_interior()
     store = ParamStore()
     for v in topo_order(block):
@@ -263,12 +263,11 @@ def _run(block, params, x, entry_in_channels=None):
         raise ShapeMismatch(INPUT, want, tuple(x.shape[1:]))
 
     produced: dict[tuple[int, int], np.ndarray] = {(INPUT, 0): x}
-    node_ins: dict[int, list[np.ndarray]] = {}
     in_edges = block.ports.ins
     for v in topo_order(block):
         op = block.ops[v]
-        ins = node_ins[v] = [produced[(e.src, e.src_port)] for e in in_edges.get(v, [])]
-        hw = upsample_source(block, v, node_ins)[0].shape[2:] if op is OpKind.UP_SAMPLE else None
+        ins = [produced[(e.src, e.src_port)] for e in in_edges.get(v, [])]
+        hw = block.shapes[v].out_shapes[0][1:] if op is OpKind.UP_SAMPLE else None
         outs = _FORWARD[op](ins, params.tensors.get(v, {}), OP_INFO[op], hw)
         for port, arr in enumerate(outs):
             produced[(v, port)] = arr

@@ -98,17 +98,12 @@ def _feasible_templates(shape: Shape) -> tuple[str, ...]:
     return tuple(name for name in TEMPLATE_NAMES if template_feasible(name, shape))
 
 
-def _check_template_ids(name: str, ids: tuple[int, ...]) -> None:
-    """InfeasibleEdit unless `ids` are distinct interior ids, one per template position."""
-    if (name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops)
-            or len(set(ids) - {INPUT, OUTPUT}) != len(ids)):
-        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
-
-
-def _template_parts(name: str, ids: tuple[int, ...]):
-    """ops, internal edges and couples of the template, with node ids by position."""
+def _template_parts(name: str, ids: tuple[int, ...], cut: Edge = Edge(INPUT, 0, OUTPUT, 0)):
+    """ops, edges and couples of the template spliced into the cut edge (by
+    default an identity block's one edge), with node ids by position."""
     t = TEMPLATES[name]
-    edges = [Edge(ids[a], pa, ids[b], pb) for a, pa, b, pb in t.wires]
+    edges = (Edge(cut.src, cut.src_port, ids[0], 0), *(Edge(ids[a], pa, ids[b], pb) for a, pa, b, pb in t.wires),
+             Edge(ids[-1], 0, cut.dst, cut.dst_port))
     group = [ids[p] for p in t.couple]
     return dict(zip(ids, t.ops)), edges, {v: tuple(u for u in group if u != v) for v in group}
 
@@ -220,12 +215,15 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
         e, ids = edit.cut_edge, edit.new_ids
         if e not in block.ports.outs.get(e.src, ()):
             raise InfeasibleEdit(f"cut edge {e} not present")
-        _check_template_ids(edit.template, ids)
+        shape = block.shapes[e.src].out_shapes[e.src_port]
+        try:
+            shapes = template_node_shapes(edit.template, shape, ids)  # checks the ids first
+        except GraphError as exc:  # its "node N: " prefix names the memo's scratch id, not a node of this block
+            rule = str(exc).partition(": ")[2]
+            raise InfeasibleEdit(f"template {edit.template!r} does not fit cut edge {e} at {shape}: {rule}") from exc
         if min(ids) < block.next_id:
             raise InfeasibleEdit(f"node ids {ids} must be at least next_id {block.next_id}")
-        ops, internal, couples = _template_parts(edit.template, ids)
-        splice = (Edge(e.src, e.src_port, ids[0], 0), *internal, Edge(ids[-1], 0, e.dst, e.dst_port))
-        return child_block(block, (), (e,), ops, splice, couples)
+        return child_block(block, (), (e,), *_template_parts(edit.template, ids, e), shapes)
 
     doomed = frozenset(edit.doomed)
     missing = doomed - set(block.ops)
@@ -239,7 +237,7 @@ def apply_block_edit(block: BlockGraph, edit: Edit) -> BlockGraph:
             raise InfeasibleEdit(f"couple of surviving node {v} reaches into the doomed set")
     ins, outs = block.ports
     removed = [x for v in doomed for side in (ins, outs) for x in side.get(v, ())]
-    return child_block(block, doomed, removed, {}, (bridge,), {})
+    return child_block(block, doomed, removed, {}, (bridge,), {}, {})
 
 
 def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:
@@ -253,18 +251,18 @@ def apply(spec: NetworkSpec, edit: Edit) -> NetworkSpec:
 def _template_shapes(name: str, shape: Shape) -> tuple[NodeShapes, ...]:
     # Shapes by template position: a pure function of (name, shape), asked on
     # every add try, while a walk meets few shapes.  Errors are not cached.
-    scratch = BlockGraph.identity(shape)
-    ids = tuple(range(scratch.next_id, scratch.next_id + len(TEMPLATES[name].ops)))
-    edit = Edit("add", 0, INPUT, scratch.digest, template=name,
-                cut_edge=Edge(INPUT, 0, OUTPUT, 0), new_ids=ids)
-    shapes = infer_shapes(apply_block_edit(scratch, edit))
+    ids = tuple(range(2, 2 + len(TEMPLATES[name].ops)))
+    shapes = infer_shapes(BlockGraph(Shape(*shape).check(), *_template_parts(name, ids)))
     return tuple(shapes[v] for v in ids)
 
 
 def template_node_shapes(name: str, shape: Shape, ids: tuple[int, ...]) -> dict[int, NodeShapes]:
     """Inferred shapes of the template's nodes when spliced into an edge of `shape`,
-    read from a memo by template position and relabelled to `ids`."""
-    _check_template_ids(name, ids)
+    read from a memo by template position and relabelled to `ids`; InfeasibleEdit
+    unless `ids` are distinct interior ids, one per template position."""
+    if (name not in TEMPLATES or len(ids) != len(TEMPLATES[name].ops)
+            or len(set(ids) - {INPUT, OUTPUT}) != len(ids)):
+        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
     return dict(zip(ids, _template_shapes(name, shape)))
 
 
@@ -272,19 +270,16 @@ class EditPatch(NamedTuple):
     """The ledger entries an edit changes."""
 
     block: Cost                         # change of the block total
-    shapes: dict[int, NodeShapes]       # shapes of the added nodes
-    removed: tuple[int, ...]            # ids of the removed nodes
     op_flops: dict[OpKind, int]         # FLOPs change per op, one entry per touched op
 
 
 @dataclass
 class CostState:
     """Incremental network cost bookkeeping for search drivers: the network,
-    its blocks' node shapes, the network total and the network's FLOPs per op
-    (an op stays listed at 0 once every node of it is gone)."""
+    its total and its FLOPs per op (an op stays listed at 0 once every node
+    of it is gone).  Each block carries its own node shapes."""
 
     spec: NetworkSpec
-    shapes: list[dict[int, NodeShapes]]
     total: Cost
     op_flops: dict[OpKind, int]
     # (edit, delta, patch) of the last `preview`; states and edits are never mutated.
@@ -295,15 +290,18 @@ class CostState:
     def from_spec(spec: NetworkSpec) -> "CostState":
         stem, transitions, head = skeleton_cost(spec)
         total = sum([c for _, c in stem + head] + [t.total for t in transitions], ZERO_COST)
-        shapes, op_flops = [], {}
+        op_flops = {}
         for b in spec.blocks:
-            s = infer_shapes(b)
-            shapes.append(s)
-            rep = block_cost(b, s)
+            rep = block_cost(b)
             total = total + rep.total
             for _, op, cost in rep.nodes:
                 op_flops[op] = op_flops.get(op, 0) + cost.flops
-        return CostState(spec, shapes, total, op_flops)
+        return CostState(spec, total, op_flops)
+
+    @property
+    def shapes(self) -> list[dict[int, NodeShapes]]:
+        """Each block's `BlockGraph.shapes`, read-only, for the benchmark's workloads; goes with their next change."""
+        return [b.shapes for b in self.spec.blocks]
 
     def network_op_flops(self) -> dict[OpKind, int]:
         return dict(self.op_flops)
@@ -319,16 +317,15 @@ class CostState:
         stage's transition, recomputed for the old and the new first op.
         """
         bi = edit.block_index
-        block, shapes = self.spec.blocks[bi], self.shapes[bi]
+        block = self.spec.blocks[bi]
         if edit.kind == "add":
             e = edit.cut_edge
-            added = template_node_shapes(edit.template, shapes[e.src].out_shapes[e.src_port], edit.new_ids)
+            added = template_node_shapes(edit.template, block.shapes[e.src].out_shapes[e.src_port], edit.new_ids)
             touched = zip(TEMPLATES[edit.template].ops, added.values())
-            sign, removed, entry = 1, (), e.src
+            sign, entry = 1, e.src
             new_first = TEMPLATES[edit.template].ops[0]
         else:
-            added, removed = {}, edit.doomed
-            touched = [(block.ops[v], shapes[v]) for v in removed]
+            touched = [(block.ops[v], block.shapes[v]) for v in edit.doomed]
             sign, entry = -1, edit.bridge.src
             new_first = block.ops.get(edit.bridge.dst)
         change, op_flops = ZERO_COST, {}
@@ -342,7 +339,7 @@ class CostState:
             old_first = self.spec.stage_entry(si)[1]
             delta = delta + (transition_cost(self.spec, si, new_first).total
                              - transition_cost(self.spec, si, old_first).total)
-        patch = EditPatch(change, added, removed, op_flops)
+        patch = EditPatch(change, op_flops)
         self._previewed = (edit, delta, patch)
         return delta, patch
 
@@ -351,16 +348,10 @@ class CostState:
         state's last `preview` made when that was for this edit object."""
         hit = self._previewed
         delta, patch = hit[1:] if hit is not None and hit[0] is edit else self.preview(edit)
-        bi = edit.block_index
-        shapes = list(self.shapes)
-        block_shapes = shapes[bi] = dict(shapes[bi])
-        for v in patch.removed:
-            del block_shapes[v]
-        block_shapes.update(patch.shapes)
         op_flops = dict(self.op_flops)
         for op, f in patch.op_flops.items():
             op_flops[op] = op_flops.get(op, 0) + f
-        return CostState(new_spec, shapes, self.total + delta, op_flops)
+        return CostState(new_spec, self.total + delta, op_flops)
 
 
 def network_delta(state: CostState, edit: Edit) -> Cost:
@@ -401,7 +392,7 @@ def propose_step(
         else:
             outs = block.out_edges(v)
             e = outs[rng.randbelow(len(outs))]
-            shape = state.shapes[bi][e.src].out_shapes[e.src_port]
+            shape = block.shapes[e.src].out_shapes[e.src_port]
             feasible = _feasible_templates(shape)
             name = feasible[rng.randbelow(len(feasible))]
             edit = Edit(

@@ -142,12 +142,12 @@ def _op_flops_json(state: CostState) -> dict[str, int]:
 
 
 def replay_edits(seed_net: NetworkSpec, edits: list[Edit]) -> NetworkSpec:
-    """The seed with the edits applied in order."""
+    """The seed with the edits applied in order: AssemblyError for an invalid
+    seed or result, InfeasibleEdit for an edit that does not apply."""
+    assemble_network(seed_net)
     net = seed_net
     for e in edits:
         net = apply(net, e)
-    # An edit from a log can splice a template where its shape rule fails;
-    # such a network is refused (AssemblyError), not returned.
     assemble_network(net)
     return net
 

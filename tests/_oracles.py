@@ -40,7 +40,7 @@ from archspace.interpreter import (
     matmul2,
     sigmoid,
 )
-from archspace.mutation import Edit, Template, apply_block_edit
+from archspace.mutation import Template
 from archspace.ops import COUPLED_ONLY, OP_INFO, Cost, OpKind, Shape, ZERO_COST, rel_pos_bias_table
 from archspace.proxy import FisherSpectrum
 
@@ -461,11 +461,18 @@ def validate_oracle(block):
 
 
 def template_node_shapes_oracle(name, shape, ids):
-    """Splice the template into a scratch identity block and infer it whole."""
-    scratch = BlockGraph.identity(shape)
-    edit = Edit("add", 0, INPUT, scratch.digest, template=name,
-                cut_edge=Edge(INPUT, 0, OUTPUT, 0), new_ids=ids)
-    shapes = infer_shapes_oracle(apply_block_edit(scratch, edit))
+    """Splice the literal template into an identity block by hand and infer
+    it whole.  (Not through `apply_block_edit`, which reads the memo under
+    test and refuses a misfit with InfeasibleEdit.)"""
+    t = TEMPLATES_ORACLE[name]
+    if len(ids) != len(t.ops) or len(set(ids) - {INPUT, OUTPUT}) != len(ids):
+        raise InfeasibleEdit(f"template {name!r} does not take node ids {ids}")
+    wires = [Edge(ids[a], pa, ids[b], pb) for a, pa, b, pb in t.wires]
+    group = [ids[p] for p in t.couple]
+    block = BlockGraph(Shape(*shape).check(), dict(zip(ids, t.ops)),
+                       (Edge(INPUT, 0, ids[0], 0), *wires, Edge(ids[-1], 0, OUTPUT, 0)),
+                       {v: tuple(u for u in group if u != v) for v in group})
+    shapes = infer_shapes_oracle(block)
     return {v: shapes[v] for v in ids}
 
 

@@ -187,7 +187,7 @@ def safety_walk():
             # per-step: full validation of the mutated block, the four
             # insertion rules, and budget membership
             assert validate(blk).ok, f"step {step}: {validate(blk).violations}"
-            assert rule_violations(blk, state.shapes[bi]) == [], f"step {step}"
+            assert rule_violations(blk, blk.shapes) == [], f"step {step}"
             if edit.kind == "add":
                 ops_map = _template_parts(edit.template, edit.new_ids)[0]
                 seen_ops |= set(ops_map.values())

@@ -70,3 +70,31 @@ def test_no_module_imports_a_private_name():
                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names if alias.name.startswith("_")]
     assert imported == []
+
+
+def _scopes_naming(tree: ast.Module, name: str) -> list[str]:
+    """The dotted name of the function or class around each reference to
+    `name` (a bare name or an attribute), "<module>" at the top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if getattr(child, "id", None) == name or getattr(child, "attr", None) == name:
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_shape_store_and_the_oracles_infer_shapes():
+    """Node shapes have one store, `BlockGraph.shapes`.  Besides it, only
+    `block_cost` (the ledger's oracle) and `_template_shapes` (the template
+    memo, which infers a root block of its own) may run `infer_shapes`, so no
+    reader grows a second store."""
+    users = {f"{p.name}: {scope}" for p in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes_naming(ast.parse(p.read_text(), filename=str(p)), "infer_shapes")}
+    assert users == {"graph.py: BlockGraph.shapes", "cost.py: block_cost", "mutation.py: _template_shapes"}

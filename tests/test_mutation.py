@@ -8,6 +8,7 @@ from archspace.graph import (
     Edge,
     GraphAssembler,
     INPUT,
+    NodeShapes,
     OUTPUT,
     child_block,
     infer_shapes,
@@ -36,6 +37,7 @@ from _oracles import (
     TEMPLATES_ORACLE,
     digest_oracle,
     excise_boundary_oracle,
+    infer_shapes_oracle,
     ports_oracle,
     template_node_shapes_oracle,
 )
@@ -185,10 +187,10 @@ def test_apply_rejects_stale_edit(desk_spec, desk_budget):
 
 
 def test_child_blocks_leave_their_parent_as_it_was(desk_spec):
-    """A child carries its parent's edge index and digest items; building it
-    must not change the parent's."""
+    """A child carries its parent's edge index, digest items and node shapes;
+    building it must not change the parent's."""
     parent = desk_spec.blocks[1]  # attention2h: couples, multi-port nodes
-    digest = parent.digest
+    digest, shapes = parent.digest, dict(parent.shapes)
     cut = parent.out_edges(INPUT)[0]
     add = Edit("add", 1, INPUT, digest, template="attention", cut_edge=cut,
                new_ids=tuple(range(parent.next_id, parent.next_id + 4)))
@@ -201,12 +203,15 @@ def test_child_blocks_leave_their_parent_as_it_was(desk_spec):
         children[edit.kind] = child = apply_block_edit(parent, edit)
         assert parent.ports == ports_oracle(parent)
         assert parent.digest == digest == digest_oracle(parent)
+        assert parent.shapes == shapes == infer_shapes_oracle(parent)
         assert child.ports == ports_oracle(child) and child.digest == digest_oracle(child)
+        assert child.shapes == infer_shapes_oracle(child)
         assert validate(child).ok
     grandchild = apply_block_edit(children["add"], Edit(
         "add", 1, cut.dst, children["add"].digest, template="gelu",
         cut_edge=children["add"].out_edges(cut.dst)[0], new_ids=(children["add"].next_id,)))
     assert grandchild.ports == ports_oracle(grandchild) and grandchild.digest == digest_oracle(grandchild)
+    assert grandchild.shapes == infer_shapes_oracle(grandchild)
     assert children["add"].ports == ports_oracle(children["add"])
     assert parent.ports == ports_oracle(parent) and parent.digest == digest
     with pytest.raises(StaleEdit):
@@ -216,28 +221,32 @@ def test_child_blocks_leave_their_parent_as_it_was(desk_spec):
 
 
 def test_child_block_of_an_unread_parent_matches_the_oracles(desk_spec):
-    """A child made from a parsed block whose digest and edge index were never
-    read still gets both right, and the parent's digest stays as it was."""
+    """A child made from a parsed block whose digest, edge index and shapes
+    were never read still gets all three right, and the parent's digest and
+    shapes stay as they were."""
     document = serialize(desk_spec)
     probe = parse_document(document).blocks[1]  # attention2h: couples, multi-port nodes
     doomed = minimal_coupled_subgraph(probe, sorted(probe.couples)[0])
     entry, exit_ = excise_boundary_oracle(probe, doomed)
     cut = next(e for e in probe.edges if e.src == INPUT)
-    v = probe.next_id
+    v, s = probe.next_id, probe.input_shape
     edits = {
         "add": ((), (cut,), {v: OpKind.GELU},
-                (Edge(cut.src, cut.src_port, v, 0), Edge(v, 0, cut.dst, cut.dst_port)), {}),
+                (Edge(cut.src, cut.src_port, v, 0), Edge(v, 0, cut.dst, cut.dst_port)), {},
+                {v: NodeShapes((s,), (s,))}),
         "eliminate": (doomed, [e for e in probe.edges if e.src in doomed or e.dst in doomed], {},
-                      (Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port),), {}),
+                      (Edge(entry.src, entry.src_port, exit_.dst, exit_.dst_port),), {}, {}),
     }
-    for kind, (dropped, removed, ops, edges, couples) in edits.items():
+    for kind, (dropped, removed, ops, edges, couples, shapes) in edits.items():
         parent = parse_document(document).blocks[1]
-        assert "digest" not in parent.__dict__ and "ports" not in parent.__dict__
-        child = child_block(parent, dropped, removed, ops, edges, couples)
+        assert not {"digest", "ports", "shapes"} & parent.__dict__.keys()
+        child = child_block(parent, dropped, removed, ops, edges, couples, shapes)
         assert child.ports == ports_oracle(child), kind
         assert child.digest == digest_oracle(child), kind
+        assert child.shapes == infer_shapes_oracle(child), kind
         assert validate(child).ok, kind
         assert parent.digest == digest_oracle(parent) == probe.digest, kind
+        assert parent.shapes == infer_shapes_oracle(parent), kind
 
 
 def test_apply_rejects_an_absent_cut_edge(desk_spec):
@@ -265,7 +274,7 @@ def test_walk_preserves_validity_budget_and_rules(desk_spec, desk_budget):
         applied += 1
         blk = net.blocks[edit.block_index]
         assert validate(blk).ok
-        assert rule_violations(blk, state.shapes[edit.block_index]) == []
+        assert rule_violations(blk, blk.shapes) == []
         assert desk_budget.contains(state.total)
     assert applied > 1000
     assert not a.validate_network(net)
@@ -365,7 +374,7 @@ def test_ledger_matches_recomputation_after_random_edits(seed, p_eliminate):
     report = a.network_cost(net)
     assert state.total == report.total
     for bi, block in enumerate(net.blocks):
-        assert state.shapes[bi] == infer_shapes(block)
+        assert block.shapes == infer_shapes(block)
     per_op = {}
     for b in report.blocks:
         for _, op, cost in b.nodes:

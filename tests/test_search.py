@@ -4,7 +4,7 @@ import pytest
 
 import archspace as a
 from archspace import search
-from archspace.errors import AssemblyError, BudgetError
+from archspace.errors import AssemblyError, BudgetError, InfeasibleEdit
 from archspace.proxy import ProxyId
 from archspace.search import (
     EvoConfig,
@@ -47,8 +47,19 @@ def test_replay_refuses_an_edit_that_breaks_a_shape_rule(desk_spec):
     blk = desk_spec.blocks[2]
     edit = a.Edit("add", 2, a.INPUT, blk.digest, template="relposbias",
                   cut_edge=blk.out_edges(a.INPUT)[0], new_ids=(blk.next_id,))
-    with pytest.raises(AssemblyError, match="RelPosBias requires integer sqrt"):
+    with pytest.raises(InfeasibleEdit, match="RelPosBias requires integer sqrt"):
         replay_edits(desk_spec, [edit])
+
+
+def test_replay_refuses_an_invalid_seed_before_any_edit(desk_spec):
+    # Seed block 0 lost an edge, so its shapes cannot be inferred: the seed is
+    # refused whole, before the edit's block index is looked at.
+    blk = desk_spec.blocks[0]
+    bad = a.BlockGraph(blk.input_shape, blk.ops, blk.edges[1:], blk.couples, blk.next_id)
+    edit = a.Edit("add", 7, a.INPUT, bad.digest, template="gelu",
+                  cut_edge=blk.edges[0], new_ids=(blk.next_id,))
+    with pytest.raises(AssemblyError, match="block 0"):
+        replay_edits(desk_spec.with_block(0, bad), [edit])
 
 
 def test_walk_is_reproducible(desk_spec, desk_budget):

@@ -43,6 +43,7 @@ def assert_matches_oracle(block):
     assert validate(block).violations == validate_oracle(block).violations
     assert _outcome(topo_order, block) == _outcome(topo_order_oracle, block)
     assert _outcome(infer_shapes, block) == _outcome(infer_shapes_oracle, block)
+    assert _outcome(lambda b: b.shapes, block) == _outcome(infer_shapes_oracle, block)
     assert block.digest == digest_oracle(block)
     assert block.ports == ports_oracle(block)
 
