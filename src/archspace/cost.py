@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import BlockGraph, infer_shapes, topo_order
+from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
 from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
 from .ops import OP_INFO, Cost, OpKind, Shape, ZERO_COST, conv2d_cost, op_cost
 
@@ -51,7 +51,11 @@ class BlockCostReport:
 def block_cost(block: BlockGraph) -> BlockCostReport:
     """Per-node breakdown and totals at shapes inferred from the block itself,
     not read from `BlockGraph.shapes`, so the search ledger has an oracle."""
-    shapes = infer_shapes(block)
+    return block_cost_at(block, infer_shapes(block))
+
+
+def block_cost_at(block: BlockGraph, shapes: dict[int, NodeShapes]) -> BlockCostReport:
+    """Per-node breakdown, in topological order, and totals at the given node shapes."""
     rows = []
     total = ZERO_COST
     for v in topo_order(block):

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .cost import Budget, block_cost, skeleton_cost, transition_cost
+from .cost import Budget, block_cost_at, skeleton_cost, transition_cost
 from .errors import FormatError, GraphError, InfeasibleEdit, StaleEdit
 from .graph import (
     BlockGraph,
@@ -292,7 +292,7 @@ class CostState:
         total = sum([c for _, c in stem + head] + [t.total for t in transitions], ZERO_COST)
         op_flops = {}
         for b in spec.blocks:
-            rep = block_cost(b)
+            rep = block_cost_at(b, b.shapes)
             total = total + rep.total
             for _, op, cost in rep.nodes:
                 op_flops[op] = op_flops.get(op, 0) + cost.flops

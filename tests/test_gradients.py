@@ -11,7 +11,7 @@ import pytest
 import archspace as a
 from archspace import proxy
 from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
-from archspace.interpreter import Tape, _vjp_node, init_params
+from archspace.interpreter import Tape, _BatchWide, _vjp_node, init_params
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
 from archspace.ops import OpKind, Shape
 from archspace.proxy import ProxyId, block_gradients, fd_gradients, score_network, spectrum_of
@@ -161,12 +161,15 @@ def test_gram_dual_zeroes_singular_values_past_the_rank():
 
 
 def _batchnorm_vjp(g, x, scale, start, want_x=True):
+    """BatchNorm's rule; on per-sample rows its input cotangent comes out as
+    a ``_BatchWide``, spread here over the batch."""
     rows = g.shape[0]
     align = (lambda a: a[None]) if g.shape[1] != 1 else (lambda a: a[start:start + rows, None])
     tape = Tape(block=None, params=None, values={})
     gins, grads = _vjp_node(tape, 0, OpKind.BATCH_NORM, [g], [x], [None],
                             {"scale": scale, "shift": np.zeros_like(scale)}, align, [want_x])
-    return gins[0], grads
+    gx = gins[0]
+    return (gx.spread(start) if isinstance(gx, _BatchWide) else gx), grads
 
 
 # (rows, samples per row, start): per-sample rows from the batch's first
@@ -193,13 +196,22 @@ def test_batchnorm_rule_matches_its_full_row_form(form, want_x):
         return
     assert gx.shape == gx_want.shape == (rows, 10, 3, 2, 3)
     np.testing.assert_allclose(gx, gx_want, rtol=1e-12, atol=1e-12 * np.abs(gx_want).max())
+    if s == 1:  # the factor form the sweep keeps: k g on each row's sample plus coef @ basis
+        wide = _vjp_node(Tape(block=None, params=None, values={}), 0, OpKind.BATCH_NORM, [g], [x], [None],
+                         {"scale": scale, "shift": np.zeros_like(scale)},
+                         lambda a: a[start:start + rows, None], [True])[0][0]
+        assert wide.d.shape == g.shape and wide.basis().shape == (6, 10, 3, 2, 3)
+        factored = np.einsum("rk,knchw->rnchw", wide.coef, wide.basis())
+        factored[np.arange(rows), start + np.arange(rows)] += wide.d[:, 0]
+        np.testing.assert_allclose(factored, gx_want, rtol=1e-12, atol=1e-12 * np.abs(gx_want).max())
 
 
 def test_batchnorm_rule_on_sample_rows_peaks_under_the_full_row_rule():
-    """Per-sample rows at the pool's (64, 1, 8, 2, 2): the input cotangent spans
-    the batch, and at its peak the rule allocates at most 2.14 times that
-    cotangent's bytes, what the full-row rule took on rows already spread over
-    the batch (3.14 counting the spread).  It reads 1.14."""
+    """Per-sample rows at the pool's (64, 1, 8, 2, 2), spread over the batch:
+    at its peak the rule with its spread allocates at most 2.14 times the
+    spread cotangent's bytes, what the full-row rule took on rows already
+    spread over the batch (3.14 counting the spread).  It read 1.14 when the
+    rule spread the rows itself, and reads 1.18 with the spread after it."""
     x, scale = Rng(50).normal((64, 8, 2, 2)), Rng(51).normal(8)
     g = Rng(53).normal((64, 1, 8, 2, 2))
     tracemalloc.start()

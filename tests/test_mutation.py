@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import archspace as a
+from archspace import cost, graph, mutation
 from archspace.errors import ArchSpaceError, InfeasibleEdit, StaleEdit
 from archspace.graph import (
     Edge,
@@ -31,6 +32,7 @@ from archspace.mutation import (
 )
 from archspace.ops import OpKind, Shape
 from archspace.rng import Rng
+from archspace.search import WalkConfig, random_walk
 from archspace.serialize import parse_document, serialize
 
 from _oracles import (
@@ -381,3 +383,23 @@ def test_ledger_matches_recomputation_after_random_edits(seed, p_eliminate):
             per_op[op] = per_op.get(op, 0) + cost.flops
     assert {op: f for op, f in state.network_op_flops().items() if f} == \
         {op: f for op, f in per_op.items() if f}
+
+
+def test_a_walk_infers_each_seed_block_once(desk_spec, desk_budget, monkeypatch):
+    """The ledger costs the seed blocks at `BlockGraph.shapes`, so a 50-step
+    walk of the desk network runs `infer_shapes` once per seed block and once
+    per template-memo miss: 34 calls, where costing the seeds from scratch as
+    well made 38."""
+    mutation._template_shapes.cache_clear()
+    calls = []
+    real = graph.infer_shapes
+
+    def counted(block):
+        calls.append(block)
+        return real(block)
+
+    for module in (graph, cost, mutation):
+        monkeypatch.setattr(module, "infer_shapes", counted)
+    random_walk(desk_spec, WalkConfig(steps=50, budget=desk_budget, seed=1))
+    assert len(calls) == 34
+    assert [sum(b is seed for b in calls) for seed in desk_spec.blocks] == [1, 1, 1, 1]

@@ -3,12 +3,17 @@ scoring pool: the C=8 desk network and the networks that seed-7 walks of 20
 and 40 steps reach from it inside the 1.5k-2.8k params box.
 
 Unlike the four-sample block pins of test_conv_pins, these blocks sweep
-their rows over the whole batch once a BatchNorm mixes the samples, in one
-sweep or, where a cotangent would outgrow the sweep bound, in several.
+their rows in one sweep or, where a cotangent spanning the batch would
+outgrow the sweep bound, in several.  Where a BatchNorm's 2C directions
+stay below a sweep's rows (the C=8 resnet_basic block at 64 rows), rows
+upstream of it stay per-sample beside a factor over the batch; elsewhere
+they fold to whole rows over the batch.
 
 The pins were recorded when the spectrum moved from G's singular values to
 the eigenvalues of the smaller Gram matrix and BatchNorm's backward rule
-began to take per-sample rows itself; a deliberate change of these bytes
+began to take per-sample rows itself; they held when BatchNorm's batch-wide
+term became a factor of 2C directions, since the one block it reaches
+scores exactly 0 (P = 1,200 > 10 B).  A deliberate change of these bytes
 updates them and is recorded in CHANGES.md.
 """
 
