@@ -10,16 +10,9 @@ not claims about any particular diagram.
 
 from __future__ import annotations
 
-import math
-
-from .errors import FormatError, InfeasibleShape
+from .errors import FormatError, GraphError, InfeasibleShape
 from .graph import BlockGraph, GraphAssembler, INPUT, OUTPUT
 from .ops import OpKind, Shape
-
-
-def _require(cond: bool, rule: str) -> None:
-    if not cond:
-        raise InfeasibleShape(rule)
 
 
 def _se_subgraph(g: GraphAssembler, src: tuple[int, int]) -> int:
@@ -101,11 +94,6 @@ def _attention_head(g: GraphAssembler, src: tuple[int, int]) -> int:
 
 def build_attention2h(shape: Shape) -> BlockGraph:
     """Two-head self-attention in a residual; per-head width C/2 via Chunk2."""
-    _require(shape.c % 2 == 0, f"attention2h requires even C, got C={shape.c}")
-    _require(
-        math.isqrt(shape.h) ** 2 == shape.h and math.isqrt(shape.w) ** 2 == shape.w,
-        f"attention2h requires square-number spatial dims for RelPosBias, got ({shape.h},{shape.w})",
-    )
     g = GraphAssembler(shape)
     copy = g.add(OpKind.COPY)
     g.wire(INPUT, 0, copy, 0)
@@ -138,7 +126,13 @@ VARIANTS = tuple(_BUILDERS)
 
 def build(variant: str, input_shape: Shape) -> BlockGraph:
     """Construct the named variant at the given shape; raises FormatError for an
-    unknown variant and InfeasibleShape where the shape does not fit it."""
+    unknown variant and InfeasibleShape, with the refusing op row's text, for a misfit."""
     if variant not in _BUILDERS:
         raise FormatError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    return _BUILDERS[variant](Shape(*input_shape).check())
+    shape = Shape(*input_shape).check()
+    block = _BUILDERS[variant](shape)
+    try:
+        block.shapes  # inferred by the op rows' rules, and kept with the block
+    except GraphError as exc:
+        raise InfeasibleShape(f"{variant} does not fit {shape}: {exc}") from exc
+    return block

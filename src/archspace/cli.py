@@ -20,7 +20,7 @@ from .errors import ArchSpaceError, BudgetError, FormatError, InfeasibleShape
 from .interpreter import forward_network, init_network_params
 from .network import assemble_network, make_network, validate_network
 from .protocol import TASKS, emit_protocol
-from .proxy import DEFAULT_BATCH, MIN_BATCH, ProxyId, score_network
+from .proxy import DEFAULT_BATCH, ProxyId, check_scoring_args, score_network
 from .rng import Rng
 from .search import EvoConfig, SearchLog, WalkConfig, random_walk, replay_edits
 from .search import evolve as run_evolve
@@ -103,11 +103,20 @@ def _cmd_cost(args) -> int:
     return 0
 
 
+def _refused_as_format(check, *args, **kwargs):
+    """check(...), a flag value it refuses (ValueError) as a FormatError; wraps
+    only these checks, since a BudgetError is a ValueError too and keeps exit 3."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
 def _cmd_walk(args) -> int:
+    cfg = _refused_as_format(WalkConfig, steps=args.steps, budget=_parse_budget(args.budget),
+                             seed=args.seed, p_eliminate=args.p_eliminate, n_try=args.n_try,
+                             record_every=args.record_every)
     spec = _read_spec(args.spec)
-    cfg = WalkConfig(steps=args.steps, budget=_parse_budget(args.budget), seed=args.seed,
-                     p_eliminate=args.p_eliminate, n_try=args.n_try,
-                     record_every=args.record_every)
     final, log = random_walk(spec, cfg)
     _write_out(log.to_jsonl(), args.out)
     if args.final_net:
@@ -116,16 +125,12 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    cfg = _refused_as_format(EvoConfig, total_steps=args.steps, population_size=args.population,
+                             steps_per_candidate=args.steps_per_candidate,
+                             proxy_id=ProxyId(args.proxy), budget=_parse_budget(args.budget),
+                             seed=args.seed, p_eliminate=args.p_eliminate, n_try=args.n_try,
+                             batch_size=args.batch_size, threads=args.threads)
     spec = _read_spec(args.spec)
-    budget = _parse_budget(args.budget)
-    try:
-        cfg = EvoConfig(total_steps=args.steps, population_size=args.population,
-                        steps_per_candidate=args.steps_per_candidate,
-                        proxy_id=ProxyId(args.proxy), budget=budget, seed=args.seed,
-                        p_eliminate=args.p_eliminate, n_try=args.n_try,
-                        batch_size=args.batch_size, threads=args.threads)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
     best, log = run_evolve(spec, cfg)
     _write_out(serialize(best), args.out)
     if args.log:
@@ -134,6 +139,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    _refused_as_format(check_scoring_args, ProxyId(args.proxy), args.batch_size, args.threads)
     spec = _read_spec(args.spec)
     bad = validate_network(spec)
     if bad:
@@ -324,11 +330,10 @@ def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     return ap.parse_args([argv[0], *given, *argv[1:]])
 
 
-# Lowest accepted value of the numeric flags that have one.  A comma-list
-# flag is checked entry by entry; an omitted optional flag (None) is not.
-_FLAG_MINIMUM = {"steps": 0, "population": 1, "n_try": 1, "record_every": 1,
-                 "steps_per_candidate": 0, "batch": 1, "threads": 1, "gpus": 1,
-                 "stem": 1, "classes": 1, "in_channels": 1,
+# Lowest accepted value of the numeric flags that no config or scoring check
+# holds.  A comma-list flag is checked entry by entry; an omitted optional
+# flag (None) is not.
+_FLAG_MINIMUM = {"batch": 1, "gpus": 1, "stem": 1, "classes": 1, "in_channels": 1,
                  "stages": 1, "dims": 1, "resolution": 1}
 
 
@@ -337,18 +342,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = _parse(ap, argv)
-        # Checked after --config defaults apply.  Only vkdnw draws a batch;
-        # the other proxies ignore --batch-size.
-        if getattr(args, "proxy", None) == ProxyId.VKDNW.value and args.batch_size < MIN_BATCH:
-            raise FormatError(f"--batch-size must be at least {MIN_BATCH} for vkdnw, "
-                              f"got {args.batch_size}")
-        for name, low in _FLAG_MINIMUM.items():
+        for name, low in _FLAG_MINIMUM.items():  # checked after --config defaults apply
             value = getattr(args, name, None)
             entries = value if isinstance(value, (tuple, list)) else (value,)
             if any(v is not None and v < low for v in entries):
                 raise FormatError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
-        if not 0.0 <= getattr(args, "p_eliminate", 0.0) <= 1.0:
-            raise FormatError(f"--p-eliminate must be in [0, 1], got {args.p_eliminate}")
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

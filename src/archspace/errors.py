@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one lower-bound check."""
 
 
 class ArchSpaceError(Exception):
@@ -52,3 +52,9 @@ class BudgetError(ArchSpaceError, ValueError):
 
 class FormatError(ArchSpaceError):
     """Malformed serialized document, log or command-line input."""
+
+
+def check_at_least(name: str, value, low) -> None:
+    """ValueError unless value >= low, naming the field, the bound and the value."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -556,10 +556,10 @@ class _Chunk:
     """The sweep state of one row chunk: its rows' samples and A, the (R, K)
     coefficients of its K bases, or None once folded (A = I)."""
 
-    def __init__(self, rows: int, start: int, n: int, full: bool):
+    def __init__(self, rows: int, start: int, n: int):
         self.rows, self.start, self.n = rows, start, n
         self.diag = np.arange(rows), start + np.arange(rows)  # (row, its sample)
-        self.coef = None if full else np.zeros((rows, 0))
+        self.coef = np.zeros((rows, 0))
 
     def to_full(self, d):
         full = np.zeros((self.rows, self.n, *d.shape[2:]))
@@ -604,8 +604,8 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
     """Per-row parameter gradients of a block from one reverse sweep.
 
     ``ct`` is the cotangent of the block output with a leading row axis,
-    (R, 1, C, H, W) with row k on sample start+k, or (R, N, C, H, W) over the
-    whole batch.  Returns node -> name -> (R, *param.shape).
+    (R, 1, C, H, W) with row k on sample start+k.  Returns node -> name ->
+    (R, *param.shape).
     """
     block = tape.block
     n = tape.values[(INPUT, 0)].shape[0]
@@ -619,11 +619,10 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
             needs.add(v)
     own = lambda a: a[start:start + rows, None]  # noqa: E731
     span = lambda a: a[None]  # noqa: E731
-    chunk = _Chunk(rows, start, n, ct.shape[1] != 1)
+    chunk = _Chunk(rows, start, n)
     out_edge = in_edges[OUTPUT][0]
     # Every port feeds exactly one edge, so each cotangent arrives once.
-    first = _Rows(None, 0, ct) if chunk.coef is None else _Rows(ct, 0, None)
-    pending: dict[tuple[int, int], _Rows] = {(out_edge.src, out_edge.src_port): first}
+    pending: dict[tuple[int, int], _Rows] = {(out_edge.src, out_edge.src_port): _Rows(ct, 0, None)}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for v in reversed(order):
         if v not in needs:

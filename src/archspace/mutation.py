@@ -23,12 +23,11 @@ is what keeps every intermediate network valid.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .cost import Budget, block_cost_at, skeleton_cost, transition_cost
-from .errors import FormatError, GraphError, InfeasibleEdit, StaleEdit
+from .errors import FormatError, GraphError, InfeasibleEdit, StaleEdit, check_at_least
 from .graph import (
     BlockGraph,
     Edge,
@@ -158,10 +157,14 @@ class SearchStepConfig:
     n_try: int = 10
 
     def __post_init__(self):
-        if not 0.0 <= self.p_eliminate <= 1.0:
-            raise ValueError("p_eliminate must be in [0, 1]")
-        if self.n_try < 1:
-            raise ValueError("n_try must be >= 1")
+        check_step_options(self.p_eliminate, self.n_try)
+
+
+def check_step_options(p_eliminate: float, n_try: int) -> None:
+    """ValueError unless p_eliminate is in [0, 1] and n_try >= 1; every config holding them calls it."""
+    if not 0.0 <= p_eliminate <= 1.0:
+        raise ValueError(f"p_eliminate must be in [0, 1], got {p_eliminate}")
+    check_at_least("n_try", n_try, 1)
 
 
 def minimal_coupled_subgraph(block: BlockGraph, v: int) -> frozenset[int]:
@@ -406,23 +409,18 @@ def propose_step(
 
 
 def rule_violations(block: BlockGraph, shapes: dict[int, NodeShapes]) -> list[str]:
-    """Check the four insertion feasibility rules on a concrete block.
-
-    (a) RelPosBias only where sqrt(H) and sqrt(W) are integral, (b) Chunk2/
-    Chunk3 only where C is divisible by 2/3, (c) ConvRed4 only where C is
-    divisible by 4, (d) dimension-changing / multi-output nodes are coupled.
-    """
+    """Check the four insertion feasibility rules on a concrete block, a-c as
+    each op's row (`ops.OP_INFO`) states them: (a) the row's `requires` holds
+    (RelPosBias: integral sqrt(H), sqrt(W); Mask: H == W), (b, c) the row's
+    `scale` denominator divides C (Chunk2/Chunk3: 2/3, ConvRed4: 4; reported
+    as rule b), (d) dimension-changing / multi-output nodes are coupled."""
     bad = []
     for v, op in block.ops.items():
-        s = shapes[v].in_shapes[0]
-        if op is OpKind.REL_POS_BIAS and (math.isqrt(s.h) ** 2 != s.h or math.isqrt(s.w) ** 2 != s.w):
-            bad.append(f"rule a: node {v} RelPosBias at {s}")
-        if op is OpKind.CHUNK2 and s.c % 2:
-            bad.append(f"rule b: node {v} Chunk2 at C={s.c}")
-        if op is OpKind.CHUNK3 and s.c % 3:
-            bad.append(f"rule b: node {v} Chunk3 at C={s.c}")
-        if op is OpKind.CONV_RED4 and s.c % 4:
-            bad.append(f"rule c: node {v} ConvRed4 at C={s.c}")
+        info, s = OP_INFO[op], shapes[v].in_shapes[0]
+        if info.requires is not None and not info.requires[1](s):
+            bad.append(f"rule a: node {v} {op.value} requires {info.requires[0]}, got {s}")
+        if s.c % info.scale[1]:
+            bad.append(f"rule b: node {v} {op.value} requires C divisible by {info.scale[1]}, got C={s.c}")
         if op in COUPLED_ONLY and v not in block.couples:
             bad.append(f"rule d: node {v} ({op.value}) uncoupled")
     return bad

@@ -16,10 +16,10 @@ interpreter's backward rules per chunk of rows, where row i carries u on
 sample i, so BatchNorm's coupling of the samples is kept exactly.  The
 spectrum never builds the P x P matrix when P > B: F = G^T G / B has at most
 B nonzero eigenvalues, those of the B x B Gram matrix G G^T / B, and the
-other P - B are exact zeros.  So a block with P >= 10 B has nine zero
-deciles and scores exactly 0, and there is no parameter ceiling.  Central
-finite differences (``fd_gradients``) remain as the test oracle for the
-gradients.
+other P - B are exact zeros.  So a block with P > 5 B has at most one nonzero
+decile (none past 10 B) and scores exactly 0, the entropy of one nonzero decile,
+and there is no parameter ceiling.  Central finite differences (``fd_gradients``)
+remain as the test oracle for the gradients.
 
 Baseline proxies for ablation plumbing: negparams / negflops (``cost_score``
 of a network total, negated so maximization prefers smaller; ``evolve``
@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .cost import network_cost
+from .errors import check_at_least
 from .graph import OUTPUT, BlockGraph, topo_order
 from .interpreter import ParamStore, forward, forward_tape, init_params, vjp_rows
 from .network import NetworkSpec
@@ -197,6 +198,13 @@ def cost_score(total: Cost, proxy_id: ProxyId) -> ProxyScore:
     return ProxyScore(-float(getattr(total, COST_PROXIES[proxy_id])), (), proxy_id)
 
 
+def check_scoring_args(proxy_id: ProxyId, batch_size: int, threads: int) -> None:
+    """ValueError unless threads >= 1 and, for vkdnw (the one proxy drawing a batch), batch_size >= MIN_BATCH."""
+    check_at_least("threads", threads, 1)
+    if proxy_id is ProxyId.VKDNW and batch_size < MIN_BATCH:
+        raise ValueError(f"batch_size must be >= {MIN_BATCH} for vkdnw, got {batch_size}")
+
+
 def score_network(
     spec: NetworkSpec,
     proxy_id: ProxyId,
@@ -206,14 +214,11 @@ def score_network(
 ) -> ProxyScore:
     """Score a network; per-block streams derive from (rng, block index),
     so serial and threaded runs produce identical values."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    check_scoring_args(proxy_id, batch_size, threads)
     if proxy_id in COST_PROXIES:
         return cost_score(network_cost(spec).total, proxy_id)
     if proxy_id is ProxyId.RANDOM:
         return ProxyScore(rng.uniform(), (), proxy_id)
-    if batch_size < MIN_BATCH:
-        raise ValueError(f"decile estimation needs a batch of at least {MIN_BATCH} samples")
 
     def one(i: int) -> float:
         return _score_one_block(spec.blocks[i], rng.child(i), batch_size)

@@ -22,11 +22,11 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain
 from .cost import Budget
-from .errors import BudgetError
-from .mutation import CostState, Edit, SearchStepConfig, apply, propose_step
+from .errors import BudgetError, check_at_least
+from .mutation import CostState, Edit, SearchStepConfig, apply, check_step_options, propose_step
 from .network import NetworkSpec, assemble_network
 from .ops import OP_BY_NAME
-from .proxy import COST_PROXIES, DEFAULT_BATCH, ProxyId, cost_score, score_network
+from .proxy import COST_PROXIES, DEFAULT_BATCH, ProxyId, check_scoring_args, cost_score, score_network
 from .rng import Rng
 from .serialize import canonical_json
 
@@ -41,10 +41,9 @@ class WalkConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        check_at_least("steps", self.steps, 0)
+        check_at_least("record_every", self.record_every, 1)
+        check_step_options(self.p_eliminate, self.n_try)
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,12 @@ class EvoConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
+        check_at_least("population_size", self.population_size, 1)
         if self.population_size > self.total_steps:
             raise ValueError("population_size must not exceed total_steps")
-        if self.steps_per_candidate < 0:
-            raise ValueError("steps_per_candidate must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        check_at_least("steps_per_candidate", self.steps_per_candidate, 0)
+        check_step_options(self.p_eliminate, self.n_try)
+        check_scoring_args(self.proxy_id, self.batch_size, self.threads)
 
 
 @dataclass

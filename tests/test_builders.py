@@ -39,10 +39,20 @@ def test_mbconv4_has_one_coupled_expansion_reduction_pair():
 
 
 def test_infeasible_builder_shapes_raise():
-    with pytest.raises(InfeasibleShape):
-        a.build("attention2h", Shape(7, 16, 16))   # odd channels
-    with pytest.raises(InfeasibleShape):
-        a.build("attention2h", Shape(8, 15, 16))   # non-square spatial
+    # odd channels: refused with Chunk2's row text
+    with pytest.raises(InfeasibleShape, match=r"^attention2h does not fit \(7,16,16\): "
+                                              r"node 3: Chunk2 requires C divisible by 2, got C=7$"):
+        a.build("attention2h", Shape(7, 16, 16))
+
+
+@pytest.mark.parametrize("shape", [Shape(8, 15, 16), Shape(8, 3, 5), Shape(8, 2, 2)])
+def test_attention2h_needs_only_an_even_c(shape):
+    """RelPosBias runs on the (H^2, W^2) attention map, whose sides are squares
+    whatever H and W are, so any spatial size builds, validates and runs."""
+    blk = a.build("attention2h", shape)
+    assert validate(blk).ok
+    x = Rng(1).normal((2, *shape))
+    assert forward(blk, init_params(blk, Rng(0)), x).shape == x.shape
 
 
 def _zero_convs(store):

@@ -171,10 +171,11 @@ def test_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "outside budget" in err, (argv, err)
     # 2: a vkdnw batch too small for nine deciles, rejected before any work
+    # with the library's message
     for cmd in ("score", "search"):
         assert run(cmd, str(net), "--batch-size", "5") == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--batch-size" in err
+        assert err == "error: batch_size must be >= 10 for vkdnw, got 5\n", (cmd, err)
     # 0: proxies that draw no batch ignore the flag
     assert run("score", str(net), "--proxy", "negflops", "--batch-size", "5") == 0
     # 2: flags, documents and edit logs checked where they are parsed, one stderr line
@@ -209,11 +210,21 @@ def test_exit_codes(tmp_path, capsys):
     zero_batch.write_text(json.dumps({"batch": 0}))
     float_batch = tmp_path / "float_batch.json"
     float_batch.write_text(json.dumps({"batch": 1.5}))
+    zero_n_try = tmp_path / "zero_n_try.json"
+    zero_n_try.write_text(json.dumps({"n_try": 0}))
+    small_batch_size = tmp_path / "small_batch_size.json"
+    small_batch_size.write_text(json.dumps({"batch_size": 5}))
     capsys.readouterr()
     for argv, flag in [
         (("walk", str(net), "--budget", "1,2,x,4"), "--budget"),
-        (("walk", str(net), "--steps", "-5"), "--steps"),
-        (("search", str(net), "--population", "0", "--proxy", "negflops"), "--population"),
+        (("walk", str(net), "--steps", "-5"), "steps must be >= 0, got -5"),
+        (("walk", str(net), "--p-eliminate", "1.5"), "p_eliminate must be in [0, 1], got 1.5"),
+        (("walk", str(net), "--config", str(zero_n_try)), "n_try must be >= 1, got 0"),
+        # flag values are checked before the document is read
+        (("walk", str(tmp_path / "missing.json"), "--n-try", "0"), "n_try must be >= 1, got 0"),
+        (("score", str(tmp_path / "missing.json"), "--threads", "0"), "threads must be >= 1, got 0"),
+        (("search", str(net), "--population", "0", "--proxy", "negflops"),
+         "population_size must be >= 1, got 0"),
         (("replay", str(net), "--log", str(headless)), "block"),
         (("replay", str(net), "--log", str(null_anchor)), "anchor"),
         (("replay", str(net), "--log", str(bogus_kind)), "edit kind"),
@@ -235,12 +246,13 @@ def test_exit_codes(tmp_path, capsys):
         ((), "command"),
         (("protocol", "--task", "classification", "--gpus", "0"), "--gpus"),
         (("protocol", "--task", "classification", "--gpus", "-2"), "--gpus"),
-        (("score", str(net), "--threads", "0"), "--threads"),
-        (("score", str(net), "--threads", "-2"), "--threads"),
-        (("search", str(net), "--threads", "0", "--proxy", "negflops"), "--threads"),
-        (("search", str(net), "--threads", "-2", "--proxy", "negflops"), "--threads"),
+        (("score", str(net), "--threads", "0"), "threads must be >= 1, got 0"),
+        (("score", str(net), "--threads", "-2"), "threads must be >= 1, got -2"),
+        (("score", str(net), "--config", str(small_batch_size)), "batch_size must be >= 10 for vkdnw, got 5"),
+        (("search", str(net), "--threads", "0", "--proxy", "negflops"), "threads must be >= 1, got 0"),
+        (("search", str(net), "--threads", "-2", "--proxy", "negflops"), "threads must be >= 1, got -2"),
         (("search", str(net), "--steps-per-candidate", "-1", "--proxy", "negflops"),
-         "--steps-per-candidate"),
+         "steps_per_candidate must be >= 0, got -1"),
         (("build", "--variant", "bogus"), "variant"),
         (("build", "--stages", "2,2", "--dims", "24"), "stage_channels"),
         (("build", "--resolution", "0"), "--resolution"),

@@ -14,7 +14,7 @@ from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
 from archspace.interpreter import Tape, _BatchWide, _vjp_node, init_params
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
 from archspace.ops import OpKind, Shape
-from archspace.proxy import ProxyId, block_gradients, fd_gradients, score_network, spectrum_of
+from archspace.proxy import ProxyId, block_gradients, fd_gradients, score_network, spectrum_of, vkdnw_score
 from archspace.rng import Rng
 
 from _oracles import batchnorm_vjp_full_oracle, spectrum_svd_oracle
@@ -139,6 +139,17 @@ def test_gram_dual_pads_exact_zeros():
     small = spectrum_of(g[:, :4])
     assert len(small.eigenvalues) == 4 and min(small.eigenvalues) > 0.0
     assert spectrum_of(np.zeros((10, 0))).deciles == (0.0,) * 9
+
+
+def test_vkdnw_is_exactly_zero_once_p_exceeds_five_b():
+    # At rank B = 16 the top B of P sorted eigenvalues are the nonzero ones:
+    # P >= 5 B + 1 leaves at most one nonzero decile, whose normalized
+    # entropy is exactly 0, and P >= 10 B + 1 leaves none.
+    g = Rng(6).normal((16, 161))
+    for p, nonzero in [(80, 2), (81, 1), (160, 1), (161, 0)]:
+        spec = spectrum_of(g[:, :p])
+        assert sum(d > 0.0 for d in spec.deciles) == nonzero, p
+        assert (vkdnw_score(spec) == 0.0) == (p > 80), p
 
 
 def test_gram_dual_zeroes_singular_values_past_the_rank():

@@ -98,3 +98,20 @@ def test_only_the_shape_store_and_the_oracles_infer_shapes():
     users = {f"{p.name}: {scope}" for p in sorted(PACKAGE.glob("*.py"))
              for scope in _scopes_naming(ast.parse(p.read_text(), filename=str(p)), "infer_shapes")}
     assert users == {"graph.py: BlockGraph.shapes", "cost.py: block_cost", "mutation.py: _template_shapes"}
+
+
+def test_the_cli_restates_no_bound_a_library_object_checks():
+    """Run bounds are checked once, by the config or scoring check that holds
+    the value; the CLI keeps minimums only for flags no library object checks."""
+    from archspace import cli
+
+    assert set(cli._FLAG_MINIMUM) == {"batch", "gpus", "stem", "classes", "in_channels",
+                                      "stages", "dims", "resolution"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "MIN_BATCH" not in imported
+    # names a comparison reads, as an attribute or as a getattr string
+    compared = {getattr(x, "attr", None) or getattr(x, "value", None)
+                for c in ast.walk(tree) if isinstance(c, ast.Compare) for x in ast.walk(c)}
+    assert "p_eliminate" not in compared

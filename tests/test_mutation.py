@@ -282,6 +282,23 @@ def test_walk_preserves_validity_budget_and_rules(desk_spec, desk_budget):
     assert not a.validate_network(net)
 
 
+def test_rule_violations_reads_rules_a_to_c_from_the_op_rows():
+    """A one-node block at a shape its op's row refuses: Mask's H == W is
+    checked like RelPosBias's square roots and the Chunk/ConvRed4 divisors."""
+    for op, s, want in [
+        (OpKind.MASK, Shape(4, 2, 3), ["rule a: node 2 Mask requires H == W, got (4,2,3)"]),
+        (OpKind.REL_POS_BIAS, Shape(4, 2, 4),
+         ["rule a: node 2 RelPosBias requires integer sqrt(H), sqrt(W), got (4,2,4)"]),
+        (OpKind.CHUNK3, Shape(4, 2, 2), ["rule b: node 2 Chunk3 requires C divisible by 3, got C=4",
+                                         "rule d: node 2 (Chunk3) uncoupled"]),
+        (OpKind.CONV_RED4, Shape(6, 2, 2), ["rule b: node 2 ConvRed4 requires C divisible by 4, got C=6",
+                                            "rule d: node 2 (ConvRed4) uncoupled"]),
+        (OpKind.MASK, Shape(4, 3, 3), []),
+    ]:
+        blk = a.BlockGraph(s, {2: op}, (Edge(INPUT, 0, 2, 0), Edge(2, 0, OUTPUT, 0)), {})
+        assert rule_violations(blk, {2: NodeShapes((s,), (s,))}) == want, op
+
+
 def test_thousand_edit_ledger_matches_recomputation(desk_spec, desk_budget):
     state = CostState.from_spec(desk_spec)
     root = Rng(13)
@@ -389,7 +406,9 @@ def test_a_walk_infers_each_seed_block_once(desk_spec, desk_budget, monkeypatch)
     """The ledger costs the seed blocks at `BlockGraph.shapes`, so a 50-step
     walk of the desk network runs `infer_shapes` once per seed block and once
     per template-memo miss: 34 calls, where costing the seeds from scratch as
-    well made 38."""
+    well made 38.  The seed is read from its document, so its blocks carry no
+    shapes yet (`build` infers those of the blocks it makes)."""
+    desk_spec = parse_document(serialize(desk_spec))
     mutation._template_shapes.cache_clear()
     calls = []
     real = graph.infer_shapes

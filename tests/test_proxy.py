@@ -185,7 +185,7 @@ def test_small_batch_rejected():
     # Refused before any block is scored, so a parameter-free network is refused too.
     for block in (_single_conv_block(c=2, h=2, w=2), a.build("identity", Shape(2, 2, 2))):
         spec = a.make_network(2, (16, 16), (1,), (2,), 10, blocks=[block])
-        with pytest.raises(ValueError, match="at least 10 samples"):
+        with pytest.raises(ValueError, match="^batch_size must be >= 10 for vkdnw, got 4$"):
             score_network(spec, ProxyId.VKDNW, Rng(0), batch_size=4)
 
 

@@ -114,6 +114,21 @@ def test_evo_config_refuses_an_empty_population():
             EvoConfig(total_steps=total_steps, population_size=0)
 
 
+def test_configs_refuse_out_of_range_step_and_scoring_fields_when_built(desk_budget):
+    """Each bound is checked once, when the config holding the value is built."""
+    for make, says in [
+        (lambda: WalkConfig(steps=5, budget=desk_budget, seed=0, n_try=0), "n_try must be >= 1, got 0"),
+        (lambda: WalkConfig(steps=5, budget=desk_budget, seed=0, p_eliminate=1.5),
+         r"p_eliminate must be in \[0, 1\], got 1.5"),
+        (lambda: EvoConfig(n_try=0), "n_try must be >= 1, got 0"),
+        (lambda: EvoConfig(p_eliminate=-0.1), r"p_eliminate must be in \[0, 1\], got -0.1"),
+        (lambda: EvoConfig(proxy_id=ProxyId.VKDNW, batch_size=9), "batch_size must be >= 10 for vkdnw, got 9"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{says}$"):
+            make()
+    EvoConfig(proxy_id=ProxyId.NEG_FLOPS, batch_size=9)  # only vkdnw draws a batch
+
+
 def test_evolve_single_slot_population(desk_spec, desk_budget):
     cfg = _desk_evo(steps=10, proxy=ProxyId.RANDOM, population=1)
     best, log = evolve(desk_spec, cfg)
