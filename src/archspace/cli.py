@@ -347,6 +347,8 @@ def main(argv=None) -> int:
             entries = value if isinstance(value, (tuple, list)) else (value,)
             if any(v is not None and v < low for v in entries):
                 raise FormatError(f"--{name.replace('_', '-')} must be at least {low}, got {value}")
+        if hasattr(args, "seed"):  # refused by Rng, which holds the seed's range
+            _refused_as_format(Rng, args.seed)
         return args.fn(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

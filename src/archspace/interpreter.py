@@ -24,7 +24,9 @@ Semantics of the elementary ops, where not obvious:
 
 Reverse mode: ``forward_tape`` records every value of a forward, and
 ``vjp_rows`` runs one backward sweep over it with a backward rule per op,
-for many output cotangents ("rows") at once; see the notes above ``Tape``.
+for many output cotangents ("rows") at once: each row lives on one sample
+down to the first BatchNorm and spans the batch from there; see the notes
+above ``Tape``.
 
 Parameter initialization allocates each op's ``OP_INFO`` tensors: a weight
 ~ N(0, 2/fan_in) over its dims after the first, a scale ones, the rest zeros.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -292,28 +294,19 @@ def forward(
 # --- reverse mode ------------------------------------------------------------
 #
 # A cotangent carries a leading row axis: shape (R, S, C, H, W).  Row k is the
-# cotangent of one scalar output, s_{start+k}.  A backward rule takes rows in
-# one of two forms:
+# cotangent of one scalar output, s_{start+k}, and comes in one of two forms:
 #
-# * per-sample (S == 1): row k lives on sample start+k alone;
-# * full (S == N): the row spans the whole batch.
+# * per-sample (S == 1): row k lives on sample start+k alone, which holds
+#   from the block output back to the first op that mixes samples;
+# * full (S == N): row k spans the whole batch.  BatchNorm is the only op
+#   that mixes samples; its rule takes rows in either form and returns full
+#   ones, and a node that meets rows of both forms spreads its per-sample
+#   rows out onto their samples.
 #
 # A forward array (N, ...) meets a cotangent through ``align``: x[None] for
 # full rows, x[start:start+R, None] for per-sample ones; both broadcast
 # against (R, S, ...), and align(arange(N)) names the sample of each entry.
 # Parameter gradients come out per row, (R, *param.shape).
-#
-# BatchNorm is the only op that mixes samples, and only through two means per
-# channel: on per-sample rows its input cotangent is k g on each row's own
-# sample plus, per row, a combination of 2C directions over the batch, 1_c
-# and x̂_c, each on channel c alone (``_BatchWide``).  So ``vjp_rows`` carries
-# a chunk's cotangent at each port as D + A F (``_Rows``): D per-sample rows,
-# F rows spanning the batch, one per basis direction, and A the chunk's one
-# (R x K) coefficient matrix.  Every rule runs once on D and once on F, and a
-# parameter's gradient is grads(D) + A grads(F).  When a BatchNorm would bring
-# K to R or beyond, every F folds to A F, R full rows with A = I, and from
-# there rows in the two forms meet as full rows, per-sample rows spread out
-# onto their samples.
 
 _MIXES_SAMPLES = frozenset({OpKind.BATCH_NORM})
 
@@ -344,42 +337,11 @@ def forward_tape(block: BlockGraph, params: ParamStore, x: np.ndarray) -> Tape:
     return Tape(block, params, _run(block, params, x))
 
 
-class _BatchWide(NamedTuple):
-    """BatchNorm's input cotangent: ``d``, k g in the form the rows came in,
-    plus ``coef`` (R, 2C) times the 2C directions over the batch, 1_c then
-    x̂_c for each channel c, each on channel c alone."""
-
-    d: np.ndarray
-    coef: np.ndarray
-    xn: np.ndarray
-
-    def basis(self) -> np.ndarray:
-        """The 2C directions, (2C, N, C, H, W)."""
-        c = self.xn.shape[1]
-        eye = np.eye(c)[:, None, :, None, None]
-        return np.concatenate([np.broadcast_to(eye, (c, *self.xn.shape)), eye * self.xn[None]])
-
-    def spread(self, start: int) -> np.ndarray:
-        """The rows over the whole batch, (R, N, C, H, W); per-sample rows
-        of ``d`` land on samples start .. start + R."""
-        c, rows = self.xn.shape[1], self.d.shape[0]
-        gx = self.xn[None] * self.coef[:, None, c:, None, None]
-        gx += self.coef[:, None, :c, None, None]
-        if self.d.shape[1] == 1:
-            gx[np.arange(rows), start + np.arange(rows)] += self.d[:, 0]
-        else:
-            gx += self.d
-        return gx
-
-
-class _Rows(NamedTuple):
-    """One port's cotangent in a row chunk, D + A F: ``d`` the per-sample rows
-    (R, 1, ...), and ``f`` the rows spanning the batch (K, N, ...) of the
-    chunk's bases lo .. lo + K; either may be None."""
-
-    d: Optional[np.ndarray]
-    lo: int
-    f: Optional[np.ndarray]
+def _to_full(g, start, n):
+    rows = g.shape[0]
+    full = np.zeros((rows, n, *g.shape[2:]))
+    full[np.arange(rows), start + np.arange(rows)] = g[:, 0]
+    return full
 
 
 def _ein(subscripts, g, a):
@@ -481,9 +443,9 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         gx, grads = vjp(g, x, params["weight"], align, want[0])
         return [gx], grads
     if op is OpKind.BATCH_NORM:
-        # Statistics couple every sample: the input cotangent is
-        # k (g - gb/m - x̂ gsc/m).  Full rows get it whole; per-sample rows get
-        # k g and the coefficients of the batch-wide rest (``_BatchWide``).
+        # Statistics couple every sample, so the input cotangent spans the
+        # batch whichever form the rows arrive in: k (g - gb/m - x̂ gsc/m),
+        # with g only on the samples its rows live on.
         xn, inv = _cached(tape, v, lambda: _norm_stats(x, (0, 2, 3), _BN_EPS))
         m = x.shape[0] * x.shape[2] * x.shape[3]
         gb = g.sum(axis=(1, 3, 4))
@@ -492,8 +454,14 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
         if not want[0]:
             return [None], grads
         k = inv[0, :, 0, 0] * params["scale"]
-        wide = _BatchWide(k[:, None, None] * g, np.concatenate([-k / m * gb, -k / m * gsc], axis=1), xn)
-        return [wide if g.shape[1] == 1 else wide.spread(0)], grads
+        gx = xn[None] * (-k / m * gsc)[:, None, :, None, None]
+        gx += (-k / m * gb)[:, None, :, None, None]
+        kg = k[:, None, None] * g
+        if g.shape[1] == 1:
+            gx[np.arange(g.shape[0]), align(np.arange(x.shape[0]))[:, 0]] += kg[:, 0]
+        else:
+            gx += kg
+        return [gx], grads
     if op is OpKind.LAYER_NORM:
         xn, inv = _cached(tape, v, lambda: _norm_stats(x, 1, _LN_EPS))
         xn, inv = align(xn), align(inv)
@@ -541,65 +509,6 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
     raise AssertionError(op)
 
 
-def _on_bases(r, lo, hi, shape):
-    """The F rows of ``r`` as rows of the bases lo .. hi, zero for the bases
-    it lacks; ``shape`` is one row's."""
-    if r.f is not None and r.lo == lo and len(r.f) == hi - lo:
-        return r.f
-    out = np.zeros((hi - lo, *shape))
-    if r.f is not None:
-        out[r.lo - lo:r.lo - lo + len(r.f)] = r.f
-    return out
-
-
-class _Chunk:
-    """The sweep state of one row chunk: its rows' samples and A, the (R, K)
-    coefficients of its K bases, or None once folded (A = I)."""
-
-    def __init__(self, rows: int, start: int, n: int):
-        self.rows, self.start, self.n = rows, start, n
-        self.diag = np.arange(rows), start + np.arange(rows)  # (row, its sample)
-        self.coef = np.zeros((rows, 0))
-
-    def to_full(self, d):
-        full = np.zeros((self.rows, self.n, *d.shape[2:]))
-        full[self.diag] = d[:, 0]
-        return full
-
-    def fold(self, r: _Rows) -> _Rows:
-        """D + A F as full rows of the folded chunk; a port without F keeps D."""
-        if r.f is None:
-            return r
-        k = len(r.f)
-        f = (self.coef[:, r.lo:r.lo + k] @ r.f.reshape(k, -1)).reshape(self.rows, *r.f.shape[1:])
-        if r.d is not None:
-            f[self.diag] += r.d[:, 0]
-        return _Rows(None, 0, f)
-
-    def batch_wide(self, bw: _BatchWide, r: _Rows) -> _Rows:
-        """BatchNorm's input cotangent from its rule on D (``bw``) and on F
-        (``r``): spread over the batch once folded, else k D with the 2C
-        directions appended as bases."""
-        if self.coef is None:
-            return _Rows(None, 0, bw.spread(self.start))
-        k = self.coef.shape[1]
-        self.coef = np.concatenate([self.coef, bw.coef], axis=1)
-        if r.f is None:
-            return _Rows(bw.d, k, bw.basis())
-        return _Rows(bw.d, r.lo, np.concatenate([_on_bases(r, r.lo, k, bw.xn.shape), bw.basis()]))
-
-    def combine(self, gd, gf, lo, hi):
-        """grads(D) + A grads(F), F over the bases lo .. hi; either may be None."""
-        if gf is None:
-            return gd
-        a = self.coef[:, lo:hi]
-        out = {}
-        for name, g in gf.items():
-            g = (a @ g.reshape(hi - lo, -1)).reshape(self.rows, *g.shape[1:])
-            out[name] = g if gd is None else gd[name] + g
-        return out
-
-
 def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, np.ndarray]]:
     """Per-row parameter gradients of a block from one reverse sweep.
 
@@ -617,52 +526,27 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
     for v in order:
         if OP_INFO[block.ops[v]].parameterized or any(e.src in needs for e in in_edges.get(v, ())):
             needs.add(v)
-    own = lambda a: a[start:start + rows, None]  # noqa: E731
-    span = lambda a: a[None]  # noqa: E731
-    chunk = _Chunk(rows, start, n)
     out_edge = in_edges[OUTPUT][0]
     # Every port feeds exactly one edge, so each cotangent arrives once.
-    pending: dict[tuple[int, int], _Rows] = {(out_edge.src, out_edge.src_port): _Rows(ct, 0, None)}
+    pending: dict[tuple[int, int], np.ndarray] = {(out_edge.src, out_edge.src_port): ct}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for v in reversed(order):
         if v not in needs:
             continue
         op = block.ops[v]
         ports = range(OP_INFO[op].out_arity)
-        cots = [pending.pop((v, p)) for p in ports]
+        gs = [pending.pop((v, p)) for p in ports]
+        if any(g.shape[1] != 1 for g in gs):
+            gs = [_to_full(g, start, n) if g.shape[1] == 1 else g for g in gs]
+            align = lambda a: a[None]  # noqa: E731
+        else:
+            align = lambda a: a[start:start + rows, None]  # noqa: E731
         outs = [tape.values[(v, p)] for p in ports]
         edges = in_edges[v]
         ins = [tape.values[(e.src, e.src_port)] for e in edges]
         want = [e.src in needs for e in edges]
-        params = tape.params.tensors.get(v, {})
-
-        def rule(gs, align):
-            return _vjp_node(tape, v, op, gs, ins, outs, params, align, want)
-
-        if (op is OpKind.BATCH_NORM and want[0] and cots[0].d is not None and chunk.coef is not None
-                and chunk.coef.shape[1] + 2 * ins[0].shape[1] >= rows):
-            pending = {key: chunk.fold(r) for key, r in pending.items()}
-            cots = [chunk.fold(r) for r in cots]
-            chunk.coef = None
-        if chunk.coef is None and any(r.f is not None for r in cots):
-            # Folded: one pass over full rows, per-sample rows spread out.
-            gins, node_grads = rule([chunk.to_full(r.d) if r.f is None else r.f for r in cots], span)
-            gins = [_Rows(None, 0, gi) for gi in gins]
-        else:
-            gd = gf = None
-            gins_d = gins_f = [None] * len(edges)
-            if any(r.d is not None for r in cots):
-                gins_d, gd = rule([np.zeros((rows, 1, *o.shape[1:])) if r.d is None else r.d
-                                   for r, o in zip(cots, outs)], own)
-            with_f = [r for r in cots if r.f is not None]
-            lo = min((r.lo for r in with_f), default=0)
-            hi = max((r.lo + len(r.f) for r in with_f), default=0)
-            if with_f:
-                gins_f, gf = rule([_on_bases(r, lo, hi, (n, *o.shape[1:]))
-                                   for r, o in zip(cots, outs)], span)
-            node_grads = chunk.combine(gd, gf, lo, hi)
-            gins = [chunk.batch_wide(d, _Rows(None, lo, f)) if isinstance(d, _BatchWide)
-                    else _Rows(d, lo, f) for d, f in zip(gins_d, gins_f)]
+        gins, node_grads = _vjp_node(tape, v, op, gs, ins, outs,
+                                     tape.params.tensors.get(v, {}), align, want)
         if node_grads:
             grads[v] = node_grads
         for e, w, gi in zip(edges, want, gins):

@@ -16,10 +16,11 @@ interpreter's backward rules per chunk of rows, where row i carries u on
 sample i, so BatchNorm's coupling of the samples is kept exactly.  The
 spectrum never builds the P x P matrix when P > B: F = G^T G / B has at most
 B nonzero eigenvalues, those of the B x B Gram matrix G G^T / B, and the
-other P - B are exact zeros.  So a block with P > 5 B has at most one nonzero
-decile (none past 10 B) and scores exactly 0, the entropy of one nonzero decile,
-and there is no parameter ceiling.  Central finite differences (``fd_gradients``)
-remain as the test oracle for the gradients.
+other P - B are exact zeros, and there is no parameter ceiling.  So a block
+with P > 5 B has at most one nonzero decile (none past 10 B) and scores
+exactly 0, the entropy of one nonzero decile, whatever its gradients: it is
+scored 0 without drawing a batch, sweeping or solving.  Central finite
+differences (``fd_gradients``) remain as the test oracle for the gradients.
 
 Baseline proxies for ablation plumbing: negparams / negflops (``cost_score``
 of a network total, negated so maximization prefers smaller; ``evolve``
@@ -184,7 +185,8 @@ def vkdnw_score(spectrum: FisherSpectrum) -> float:
 
 def _score_one_block(block: BlockGraph, rng: Rng, batch_size: int) -> float:
     store = init_params(block, rng.child(0))
-    if store.scalar_count() == 0:
+    # No parameters, or P > 5 B: at most one nonzero decile, which scores 0.
+    if not 0 < store.scalar_count() <= 5 * batch_size:
         return 0.0
     shape = block.input_shape
     batch = rng.child(1).normal((batch_size, *shape))

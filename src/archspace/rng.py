@@ -53,7 +53,9 @@ class Rng:
     current block's undrawn words, then whole blocks from numpy's Philox."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed & _MASK64
+        if not 0 <= seed <= _MASK64:  # the Philox key word, never reduced
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
         self.stream = stream & _MASK64
         self._block = 0           # counter of the last block drawn from
         self._words: list[int] = []   # its undrawn words, the next one last

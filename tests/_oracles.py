@@ -1,9 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written with plain loops (or hand-rolled
-linear algebra) and never calls into the interpreter's execution path,
-except ``vjp_rows_spread_oracle``, which checks the reverse sweep's row forms
-and so runs the interpreter's per-op backward rules other than BatchNorm's.
+linear algebra) and never calls into the interpreter's execution path.
 """
 
 import hashlib
@@ -30,16 +28,11 @@ from archspace.graph import (
     NodeShapes,
     Ports,
     ValidationReport,
-    topo_order,
 )
 from archspace.interpreter import (
     _BN_EPS,
     ParamStore,
     _band,
-    _cached,
-    _ein,
-    _norm_stats,
-    _vjp_node,
     _rel_pos_add,
     _softmax_last,
     gelu,
@@ -237,81 +230,6 @@ def batchnorm_vjp_full_oracle(g, x, scale, start):
     k = inv[None] * scale[:, None, None]
     gx = k * (g - (gb / m)[:, None, :, None, None] - xn[None] * (gsc / m)[:, None, :, None, None])
     return gx, {"scale": gsc, "shift": gb}
-
-
-def _to_full(g, start, n):
-    rows = g.shape[0]
-    full = np.zeros((rows, n, *g.shape[2:]))
-    full[np.arange(rows), start + np.arange(rows)] = g[:, 0]
-    return full
-
-
-def _batchnorm_vjp_spread(tape, v, g, x, scale, align, want):
-    """BatchNorm's rule on rows in either form, returning full rows: the
-    batch-wide term k (-gb/m - x̂ gsc/m) built once per row, plus k g on the
-    samples its rows live on."""
-    xn, inv = _cached(tape, v, lambda: _norm_stats(x, (0, 2, 3), _BN_EPS))
-    m = x.shape[0] * x.shape[2] * x.shape[3]
-    gb = g.sum(axis=(1, 3, 4))
-    gsc = _ein("rschw,rschw->rc", g, align(xn))
-    grads = {"scale": gsc, "shift": gb}
-    if not want[0]:
-        return [None], grads
-    k = inv[0, :, 0, 0] * scale
-    gx = xn[None] * (-k / m * gsc)[:, None, :, None, None]
-    gx += (-k / m * gb)[:, None, :, None, None]
-    kg = k[:, None, None] * g
-    if g.shape[1] == 1:
-        gx[np.arange(g.shape[0]), align(np.arange(x.shape[0]))[:, 0]] += kg[:, 0]
-    else:
-        gx += kg
-    return [gx], grads
-
-
-def vjp_rows_spread_oracle(tape, ct, start=0):
-    """``interpreter.vjp_rows`` as one sweep of whole rows: a row stays on its
-    own sample down to the first BatchNorm, which spreads it over the batch,
-    and from there every row at a node that meets a spread row is spread out
-    too, so each op upstream of a BatchNorm runs on all R full rows.  The
-    per-op rules other than BatchNorm's are the interpreter's."""
-    block = tape.block
-    n = tape.values[(INPUT, 0)].shape[0]
-    rows = ct.shape[0]
-    in_edges = block.ports.ins
-    order = topo_order(block)
-    needs = set()
-    for v in order:
-        if OP_INFO[block.ops[v]].parameterized or any(e.src in needs for e in in_edges.get(v, ())):
-            needs.add(v)
-    out_edge = in_edges[OUTPUT][0]
-    pending = {(out_edge.src, out_edge.src_port): ct}
-    grads = {}
-    for v in reversed(order):
-        if v not in needs:
-            continue
-        op = block.ops[v]
-        ports = range(OP_INFO[op].out_arity)
-        gs = [pending.pop((v, p)) for p in ports]
-        if any(g.shape[1] != 1 for g in gs):
-            gs = [_to_full(g, start, n) if g.shape[1] == 1 else g for g in gs]
-            align = lambda a: a[None]  # noqa: E731
-        else:
-            align = lambda a: a[start:start + rows, None]  # noqa: E731
-        outs = [tape.values[(v, p)] for p in ports]
-        edges = in_edges[v]
-        ins = [tape.values[(e.src, e.src_port)] for e in edges]
-        want = [e.src in needs for e in edges]
-        params = tape.params.tensors.get(v, {})
-        if op is OpKind.BATCH_NORM:
-            gins, node_grads = _batchnorm_vjp_spread(tape, v, gs[0], ins[0], params["scale"], align, want)
-        else:
-            gins, node_grads = _vjp_node(tape, v, op, gs, ins, outs, params, align, want)
-        if node_grads:
-            grads[v] = node_grads
-        for e, w, gi in zip(edges, want, gins):
-            if w:
-                pending[(e.src, e.src_port)] = gi
-    return grads
 
 
 def spectrum_svd_oracle(g):

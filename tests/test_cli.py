@@ -178,6 +178,10 @@ def test_exit_codes(tmp_path, capsys):
         assert err == "error: batch_size must be >= 10 for vkdnw, got 5\n", (cmd, err)
     # 0: proxies that draw no batch ignore the flag
     assert run("score", str(net), "--proxy", "negflops", "--batch-size", "5") == 0
+    # 0: the largest seed Rng keys; the report echoes it
+    capsys.readouterr()
+    assert run("score", str(net), "--proxy", "random", "--seed", str(2**64 - 1)) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
     # 2: flags, documents and edit logs checked where they are parsed, one stderr line
     log = tmp_path / "w.jsonl"
     assert run("walk", str(net), "--steps", "2", "--out", str(log)) == 0
@@ -223,6 +227,14 @@ def test_exit_codes(tmp_path, capsys):
         # flag values are checked before the document is read
         (("walk", str(tmp_path / "missing.json"), "--n-try", "0"), "n_try must be >= 1, got 0"),
         (("score", str(tmp_path / "missing.json"), "--threads", "0"), "threads must be >= 1, got 0"),
+        # a seed outside [0, 2**64) would alias another seed's streams
+        (("score", str(tmp_path / "missing.json"), "--seed", str(2**64)),
+         f"seed must be in [0, 2**64), got {2**64}"),
+        (("score", str(net), "--proxy", "random", "--seed", "-1"), "seed must be in [0, 2**64), got -1"),
+        (("walk", str(tmp_path / "missing.json"), "--seed", "-1"), "seed must be in [0, 2**64), got -1"),
+        (("search", str(net), "--proxy", "negflops", "--seed", str(2**64)),
+         f"seed must be in [0, 2**64), got {2**64}"),
+        (("eval", str(tmp_path / "missing.json"), "--seed", "-3"), "seed must be in [0, 2**64), got -3"),
         (("search", str(net), "--population", "0", "--proxy", "negflops"),
          "population_size must be >= 1, got 0"),
         (("replay", str(net), "--log", str(headless)), "block"),

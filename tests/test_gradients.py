@@ -3,6 +3,8 @@ BatchNorm's backward rule against its full-row form, and the Gram-dual
 spectrum against a dense P x P eigendecomposition and against G's singular
 values."""
 
+import functools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,10 +13,18 @@ import pytest
 import archspace as a
 from archspace import proxy
 from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
-from archspace.interpreter import Tape, _BatchWide, _vjp_node, init_params
+from archspace.interpreter import Tape, _vjp_node, init_params
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
 from archspace.ops import OpKind, Shape
-from archspace.proxy import ProxyId, block_gradients, fd_gradients, score_network, spectrum_of, vkdnw_score
+from archspace.proxy import (
+    FisherSpectrum,
+    ProxyId,
+    block_gradients,
+    fd_gradients,
+    score_network,
+    spectrum_of,
+    vkdnw_score,
+)
 from archspace.rng import Rng
 
 from _oracles import batchnorm_vjp_full_oracle, spectrum_svd_oracle
@@ -53,6 +63,22 @@ def problem(block: BlockGraph, seed: int = 0):
     batch = rng.child(0).normal((BATCH, *block.input_shape))
     u = rng.child(1).normal(block.input_shape.numel)
     return store, batch, u / np.linalg.norm(u)
+
+
+def pool_problem(block: BlockGraph):
+    """The init parameters, a batch of the pool's size and a unit projection."""
+    store = init_params(block, Rng(0))
+    u = Rng(2).normal(block.input_shape.numel)
+    return store, Rng(1).normal((POOL_BATCH, *block.input_shape)), u / np.linalg.norm(u)
+
+
+def readme_network():
+    """The README's ``build --variant mbconv4,resnet_basic --stem 12 ...`` network."""
+    args = (12, (32, 32), (2, 2), (24, 48), 10)
+    stages = a.make_network(*args).stages
+    return a.make_network(*args, blocks=[a.build(v, st.shape) for v, st in
+                                         zip(("mbconv4", "resnet_basic"), stages)
+                                         for _ in range(st.n_blocks)])
 
 
 def assert_gradients_match(block: BlockGraph, h: float = proxy.DEFAULT_FD_STEP):
@@ -104,10 +130,24 @@ BUILDER_BLOCKS = [
 ]
 
 
+@functools.cache
+def builder_fd(variant: str, shape: Shape) -> np.ndarray:
+    """The finite-difference G of a builder block on ``problem``, computed once."""
+    block = a.build(variant, shape)
+    return fd_gradients(block, *problem(block))
+
+
+def assert_builder_matches(variant: str, shape: Shape) -> np.ndarray:
+    block = a.build(variant, shape)
+    got, want = block_gradients(block, *problem(block)), builder_fd(variant, shape)
+    assert got.shape == want.shape and want.any()
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+    return got
+
+
 @pytest.mark.parametrize("variant,shape", BUILDER_BLOCKS, ids=lambda p: str(p))
 def test_builder_gradients_match_finite_differences(variant, shape):
-    g = assert_gradients_match(a.build(variant, shape))
-    assert_deciles_match_dense(g)
+    assert_deciles_match_dense(assert_builder_matches(variant, shape))
 
 
 def test_batch_and_sample_rows_meet_at_a_copy():
@@ -150,6 +190,33 @@ def test_vkdnw_is_exactly_zero_once_p_exceeds_five_b():
         spec = spectrum_of(g[:, :p])
         assert sum(d > 0.0 for d in spec.deciles) == nonzero, p
         assert (vkdnw_score(spec) == 0.0) == (p > 80), p
+    # The structural pattern, min(B, P) ones at the top of P sorted zeros:
+    # numpy's linear deciles 1-8 are all 0 exactly when P > 5 B, and the
+    # score is 0 exactly then.
+    for b in (10, 16, 33, 64, 100, 256):
+        for p in (5 * b, 5 * b + 1, 10 * b + 1):
+            pattern = np.zeros(p)
+            pattern[p - min(b, p):] = 1.0
+            deciles = np.quantile(pattern, [k / 10 for k in range(1, 10)], method="linear")
+            assert (not deciles[:8].any()) == (p > 5 * b), (b, p)
+            assert (vkdnw_score(FisherSpectrum((), tuple(deciles))) == 0.0) == (p > 5 * b), (b, p)
+
+
+def test_a_block_with_p_above_five_b_scores_zero_without_a_sweep(monkeypatch):
+    """Pool block (0, 2) (P = 1,200 at B = 64) and every block of the README
+    network (P above 5 B at B = 16 and 64) score +0.0, the bytes the full
+    sweep and eigensolve gave, without calling ``block_gradients``."""
+    calls = []
+    real = proxy.block_gradients
+    monkeypatch.setattr(proxy, "block_gradients", lambda *args: calls.append(args) or real(*args))
+    block = pool_networks()[0].blocks[2]
+    assert init_params(block, Rng(0)).scalar_count() == 1_200
+    assert struct.pack("<d", proxy._score_one_block(block, Rng(0).child(0, 2), POOL_BATCH)) == bytes(8)
+    net = readme_network()
+    for b in (16, 64):
+        score = score_network(net, ProxyId.VKDNW, Rng(3), batch_size=b)
+        assert struct.pack("<5d", score.value, *score.per_block) == bytes(40), b
+    assert calls == []
 
 
 def test_gram_dual_zeroes_singular_values_past_the_rank():
@@ -172,15 +239,12 @@ def test_gram_dual_zeroes_singular_values_past_the_rank():
 
 
 def _batchnorm_vjp(g, x, scale, start, want_x=True):
-    """BatchNorm's rule; on per-sample rows its input cotangent comes out as
-    a ``_BatchWide``, spread here over the batch."""
     rows = g.shape[0]
     align = (lambda a: a[None]) if g.shape[1] != 1 else (lambda a: a[start:start + rows, None])
     tape = Tape(block=None, params=None, values={})
     gins, grads = _vjp_node(tape, 0, OpKind.BATCH_NORM, [g], [x], [None],
                             {"scale": scale, "shift": np.zeros_like(scale)}, align, [want_x])
-    gx = gins[0]
-    return (gx.spread(start) if isinstance(gx, _BatchWide) else gx), grads
+    return gins[0], grads
 
 
 # (rows, samples per row, start): per-sample rows from the batch's first
@@ -207,22 +271,13 @@ def test_batchnorm_rule_matches_its_full_row_form(form, want_x):
         return
     assert gx.shape == gx_want.shape == (rows, 10, 3, 2, 3)
     np.testing.assert_allclose(gx, gx_want, rtol=1e-12, atol=1e-12 * np.abs(gx_want).max())
-    if s == 1:  # the factor form the sweep keeps: k g on each row's sample plus coef @ basis
-        wide = _vjp_node(Tape(block=None, params=None, values={}), 0, OpKind.BATCH_NORM, [g], [x], [None],
-                         {"scale": scale, "shift": np.zeros_like(scale)},
-                         lambda a: a[start:start + rows, None], [True])[0][0]
-        assert wide.d.shape == g.shape and wide.basis().shape == (6, 10, 3, 2, 3)
-        factored = np.einsum("rk,knchw->rnchw", wide.coef, wide.basis())
-        factored[np.arange(rows), start + np.arange(rows)] += wide.d[:, 0]
-        np.testing.assert_allclose(factored, gx_want, rtol=1e-12, atol=1e-12 * np.abs(gx_want).max())
 
 
 def test_batchnorm_rule_on_sample_rows_peaks_under_the_full_row_rule():
-    """Per-sample rows at the pool's (64, 1, 8, 2, 2), spread over the batch:
-    at its peak the rule with its spread allocates at most 2.14 times the
-    spread cotangent's bytes, what the full-row rule took on rows already
-    spread over the batch (3.14 counting the spread).  It read 1.14 when the
-    rule spread the rows itself, and reads 1.18 with the spread after it."""
+    """Per-sample rows at the pool's (64, 1, 8, 2, 2): the input cotangent
+    spans the batch, and at its peak the rule allocates at most 2.14 times
+    that cotangent's bytes, what the full-row rule took on rows already
+    spread over the batch (3.14 counting the spread).  It reads 1.16."""
     x, scale = Rng(50).normal((64, 8, 2, 2)), Rng(51).normal(8)
     g = Rng(53).normal((64, 1, 8, 2, 2))
     tracemalloc.start()
@@ -243,18 +298,9 @@ def _assert_spectrum_matches_svd(g):
     np.testing.assert_allclose(got.deciles, want.deciles, rtol=0.0, atol=1e-9 * want.eigenvalues[0])
 
 
-def test_spectrum_matches_the_svd_on_every_pool_block(monkeypatch):
-    seen = []
-
-    def recorded(g):
-        seen.append(g.copy())
-        return spectrum_of(g)
-
-    monkeypatch.setattr(proxy, "spectrum_of", recorded)
-    nets = pool_networks()
-    for j, net in enumerate(nets):
-        score_network(net, ProxyId.VKDNW, Rng(0).child(j), batch_size=POOL_BATCH)
-    assert len(seen) == sum(len(net.blocks) for net in nets)
+def test_spectrum_matches_the_svd_on_every_pool_block():
+    seen = [block_gradients(b, *pool_problem(b)) for net in pool_networks() for b in net.blocks]
+    assert len(seen) == 12
     assert any(g.shape[1] < g.shape[0] for g in seen)  # a block with P < B
     for g in seen:
         _assert_spectrum_matches_svd(g)

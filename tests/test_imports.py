@@ -1,5 +1,6 @@
 """Every module-level import in the package's modules is used, and so is
-every module-level private name, and no module imports another's private name.
+every module-level private name, and no module imports another's private name;
+every test oracle is used.
 
 A name an import binds must be referenced somewhere in its module.
 ``__init__.py`` is exempt: its imports are the package's re-exports.  A
@@ -60,6 +61,25 @@ def test_no_orphaned_private_names():
     referenced = set().union(*(_references(t) for t in trees.values()))
     orphans = [f"{name}: {d}" for name, t in trees.items() for d in _private_definitions(t)
                if d not in referenced]
+    assert orphans == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_no_orphaned_oracles():
+    """Every top-level function or class of ``_oracles.py`` is referenced by a
+    test module or by another top-level statement there, so deleting an
+    oracle leaves none of its helpers behind."""
+    oracles = ast.parse((TESTS / "_oracles.py").read_text())
+    referenced = set().union(*(_references(ast.parse(p.read_text(), filename=str(p)))
+                               for p in TESTS.glob("*.py") if p.name != "_oracles.py"))
+    orphans = []
+    for node in oracles.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            others = set().union(*(_references(n) for n in oracles.body if n is not node))
+            if node.name not in referenced | others:
+                orphans.append(node.name)
     assert orphans == []
 
 

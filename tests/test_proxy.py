@@ -11,6 +11,7 @@ from archspace import proxy
 from archspace.proxy import (
     FisherSpectrum,
     ProxyId,
+    block_gradients,
     cost_score,
     fd_gradients,
     score_network,
@@ -19,6 +20,7 @@ from archspace.proxy import (
 )
 from archspace.rng import Rng
 
+from test_gradients import pool_problem
 from test_vkdnw_pins import BATCH as POOL_BATCH, pool_networks
 
 LOG9 = math.log(9.0)
@@ -197,7 +199,9 @@ def test_fewer_than_one_thread_rejected(threads):
 
 
 def test_pool_network_scores_from_the_smaller_gram_without_svd(monkeypatch):
-    """No SVD runs, and each eigensolve takes a min(B, P) square Gram."""
+    """No SVD runs, and each eigensolve takes a min(B, P) square Gram, in
+    scoring and on every block of the network swept directly (scoring sweeps
+    only the blocks with P <= 5 B)."""
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -209,7 +213,10 @@ def test_pool_network_scores_from_the_smaller_gram_without_svd(monkeypatch):
     net = pool_networks()[2]
     score = score_network(net, ProxyId.VKDNW, Rng(0).child(2), batch_size=POOL_BATCH)
     assert score.value > 0.0
-    assert len(gs) == len(net.blocks) and any(p < b for b, p in gs)  # block 2 has P = 16
+    scored = len(gs)
+    for block in net.blocks:
+        proxy.spectrum_of(block_gradients(block, *pool_problem(block)))
+    assert len(gs) - scored == len(net.blocks) and any(p < b for b, p in gs)  # block 2 has P = 16
     assert grams == [(min(g),) * 2 for g in gs]
 
 
