@@ -225,8 +225,12 @@ def topo_order(block: BlockGraph) -> list[int]:
                 if indeg[s] == 0:
                     heapq.heappush(ready, s)
     if len(order) != len(ops):
-        raise CycleDetected(f"{len(ops) - len(order)} nodes unreachable from a cycle-free order")
+        raise _cycle(len(ops) - len(order))
     return order
+
+
+def _cycle(unordered: int) -> CycleDetected:
+    return CycleDetected(f"{unordered} nodes unreachable from a cycle-free order")
 
 
 def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
@@ -235,42 +239,42 @@ def infer_shapes(block: BlockGraph) -> dict[int, NodeShapes]:
     The virtual input appears with its single out shape and the virtual
     output with its single in shape, so the block's output shape can be
     read off the OUTPUT entry.  One topological order and the block's one
-    edge index (`BlockGraph.ports`) serve the whole inference.
+    edge index (`BlockGraph.ports`) serve the whole inference, which also
+    reads blocks whose ports `validate` would refuse.
     """
-    return _infer_in_order(block, topo_order(block))
-
-
-def _infer_in_order(block: BlockGraph, order: list[int]) -> dict[int, NodeShapes]:
-    """infer_shapes along an order the caller has already computed."""
-    producers: dict[tuple[int, int], Shape] = {(INPUT, 0): block.input_shape}
-    result: dict[int, NodeShapes] = {INPUT: NodeShapes((), (block.input_shape,))}
+    made = {INPUT: (block.input_shape,)}  # node -> its out shapes
+    result = {INPUT: NodeShapes((), made[INPUT])}
     ops, in_edges = block.ops, block.ports.ins
-    for v in order:
+    for v in topo_order(block):
         op = ops[v]
         ins = []
         for e in in_edges.get(v, ()):
-            key = e[:2]
-            if key not in producers:
-                raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {key}")
-            ins.append(producers[key])
-        target = None
-        if op is OpKind.UP_SAMPLE:  # restores the input size of its coupled GlobalAvg
-            gavg = next((p for p in block.couples.get(v, ()) if ops.get(p) is OpKind.GLOBAL_AVG), None)
-            if gavg not in result:
-                raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
-            target = result[gavg].in_shapes[0][1:]
-        outs = transfer(op, ins, v, target)
-        result[v] = NodeShapes(tuple(ins), outs)
-        for port, s in enumerate(outs):
-            producers[(v, port)] = s
+            outs = made.get(e.src, ())
+            if not 0 <= e.src_port < len(outs):
+                raise GraphError(f"node {v}: input port {e.dst_port} fed by unresolved {e[:2]}")
+            ins.append(outs[e.src_port])
+        target = _upsample_target(block, v, made) if op is OpKind.UP_SAMPLE else None
+        made[v] = transfer(op, ins, v, target)
+        result[v] = NodeShapes(tuple(ins), made[v])
     out_in = in_edges.get(OUTPUT, [])
     if len(out_in) != 1:
         raise GraphError(f"virtual output must have exactly one in edge, found {len(out_in)}")
-    key = (out_in[0].src, out_in[0].src_port)
-    if key not in producers:
-        raise GraphError(f"virtual output fed by unresolved {key}")
-    result[OUTPUT] = NodeShapes((producers[key],), ())
+    e = out_in[0]
+    outs = made.get(e.src, ())
+    if not 0 <= e.src_port < len(outs):
+        raise GraphError(f"virtual output fed by unresolved {e[:2]}")
+    result[OUTPUT] = NodeShapes((outs[e.src_port],), ())
     return result
+
+
+def _upsample_target(block: BlockGraph, v: int, made: dict[int, tuple[Shape, ...]]) -> tuple[int, int]:
+    """The H, W that UpSample v restores: the input size of its coupled
+    GlobalAvg, which must already be in made (node -> its out shapes)."""
+    gavg = next((p for p in block.couples.get(v, ()) if block.ops.get(p) is OpKind.GLOBAL_AVG), None)
+    if gavg not in made:
+        raise GraphError(f"node {v}: UpSample has no resolved coupled GlobalAvg")
+    e = block.ports.ins[gavg][0]
+    return made[e.src][e.src_port][1:]
 
 
 @dataclass(frozen=True)
@@ -332,25 +336,61 @@ def _port_violations(block: BlockGraph) -> list[str]:
     return bad
 
 
-def _couples_violations(block: BlockGraph, order: list[int]) -> list[str]:
-    """Couple checks on an acyclic block with valid ports, given its topological order.
+def validate(block: BlockGraph) -> ValidationReport:
+    """All invariant violations as data; empty report iff the block is feasible.
 
-    An edge never goes back in the order, so one sweep from the last node
-    to the first gives each node its descendants as a bitset over
-    positions, and a directed path joins a pair iff the later node's bit is
-    set in the earlier node's descendants.
+    The port check comes first; once it passes, one id-keyed Kahn sweep
+    over the block's edge index (`BlockGraph.ports`) gives the topological
+    order, each node's ancestors and the node shapes together, so the
+    order is computed once and no adjacency map is built.  The whole block
+    is checked on every call, and shapes are inferred from the block itself.
     """
-    bad = []
-    ops, outs = block.ops, block.ports.outs
-    position = {v: i for i, v in enumerate(order)}
-    reach: dict[int, int] = {}
-    for v in reversed(order):
-        r = 0
+    bad = _port_violations(block)
+    if bad:
+        return ValidationReport(tuple(bad))
+    ops, couples, (ins, outs) = block.ops, block.couples, block.ports
+    # Valid ports feed each interior node once per input port, and INPUT
+    # feeds exactly one node, so the in-degrees over interior edges follow
+    # from the ops alone.
+    indeg = {v: OP_INFO[op].in_arity for v, op in ops.items()}
+    first = outs[INPUT][0].dst
+    if first != OUTPUT:
+        indeg[first] -= 1
+    ready = [v for v, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    # anc: node -> a bitset of itself (bit 1 << its place in the order) and
+    # its ancestors; made: node -> its out shapes, until a shape rule fails.
+    anc, made, failed = {INPUT: 0}, {INPUT: (block.input_shape,)}, None
+    up_sample = OpKind.UP_SAMPLE  # read once: an enum member lookup costs more than the test
+    while ready:
+        v = heapq.heappop(ready)
+        edges, a = ins[v], 1 << len(anc)
+        if failed is None:
+            args = []
+            for e in edges:
+                a |= anc[e.src]
+                args.append(made[e.src][e.src_port])
+            op = ops[v]
+            try:
+                target = _upsample_target(block, v, made) if op is up_sample else None
+                made[v] = transfer(op, args, v, target)
+            except GraphError as exc:
+                failed = f"shape inference failed: {exc}"
+        else:
+            for e in edges:
+                a |= anc[e.src]
+        anc[v] = a
         for e in outs.get(v, ()):
-            if e.dst in ops:
-                r |= reach[e.dst] | 1 << position[e.dst]
-        reach[v] = r
-    for v, partners in block.couples.items():
+            s = e.dst
+            if s != OUTPUT:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    heapq.heappush(ready, s)
+    if len(anc) <= len(ops):
+        return ValidationReport((f"cycle: {_cycle(len(ops) + 1 - len(anc))}",))
+    # A directed path joins v and p != v iff one's ancestors hold the other's
+    # bit, that is, iff one's bitset contains the other's.
+    for v, partners in couples.items():
         if v not in ops:
             bad.append(f"couples entry references dead node {v}")
             continue
@@ -358,39 +398,19 @@ def _couples_violations(block: BlockGraph, order: list[int]) -> list[str]:
             if p not in ops:
                 bad.append(f"couple {v}<->{p}: dead partner")
                 continue
-            if v not in block.couples.get(p, ()):
+            if v not in couples.get(p, ()):
                 bad.append(f"couple {v}->{p} is not symmetric")
-            first, last = (v, p) if position[v] <= position[p] else (p, v)
-            if not reach[first] >> position[last] & 1:
+            joined = anc[v] | anc[p]
+            if v == p or joined != anc[v] and joined != anc[p]:
                 bad.append(f"couple {v}<->{p}: no directed path between the pair")
     for v, op in ops.items():
-        if op in COUPLED_ONLY and v not in block.couples:
+        if op in COUPLED_ONLY and v not in couples:
             bad.append(f"node {v} ({op.value}) changes dimensions/fan-out but has no couple")
-    return bad
-
-
-def validate(block: BlockGraph) -> ValidationReport:
-    """All invariant violations as data; empty report iff the block is feasible.
-
-    One edge index (`BlockGraph.ports`) serves the port check, the
-    topological order, the couple check and shape inference; the order is
-    computed once and no adjacency map is built.  The whole block is
-    checked on every call, and shapes are inferred from the block itself.
-    """
-    bad = _port_violations(block)
-    if bad:
+    if failed is not None:
+        bad.append(failed)
         return ValidationReport(tuple(bad))
-    try:
-        order = topo_order(block)
-    except CycleDetected as exc:
-        return ValidationReport((f"cycle: {exc}",))
-    bad.extend(_couples_violations(block, order))
-    try:
-        shapes = _infer_in_order(block, order)
-    except GraphError as exc:
-        bad.append(f"shape inference failed: {exc}")
-        return ValidationReport(tuple(bad))
-    out_shape = shapes[OUTPUT].in_shapes[0]
+    e = ins[OUTPUT][0]
+    out_shape = made[e.src][e.src_port]
     if out_shape != block.input_shape:
         bad.append(f"block output shape {out_shape} != input shape {block.input_shape}")
     return ValidationReport(tuple(bad))

@@ -44,6 +44,7 @@ class WalkConfig:
         check_at_least("steps", self.steps, 0)
         check_at_least("record_every", self.record_every, 1)
         check_step_options(self.p_eliminate, self.n_try)
+        Rng(self.seed)  # refuses a seed outside its range
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class EvoConfig:
         check_at_least("steps_per_candidate", self.steps_per_candidate, 0)
         check_step_options(self.p_eliminate, self.n_try)
         check_scoring_args(self.proxy_id, self.batch_size, self.threads)
+        Rng(self.seed)  # refuses a seed outside its range
 
 
 @dataclass

@@ -177,14 +177,15 @@ def test_assembly_error_names_the_block_once():
 
 
 def test_validate_sorts_topologically_once(monkeypatch):
-    """validate sorts once and runs no search per couple pair, on a valid
-    block and on one with a couple that no path joins."""
+    """validate orders the block inside its own sweep: it calls neither
+    topo_order nor infer_shapes and runs no search per couple pair, on a
+    valid block and on one with a couple that no path joins."""
     blk = a.build("attention2h", Shape(8, 4, 4))
     heads = [v for v in topo_order(blk) if blk.ops[v] is OpKind.MATMUL1]  # on parallel heads
     couples = {**blk.couples, heads[0]: (*blk.couples[heads[0]], heads[1]),
                heads[1]: (*blk.couples[heads[1]], heads[0])}
     unjoined = BlockGraph(blk.input_shape, dict(blk.ops), blk.edges, couples, blk.next_id)
-    calls = {name: [] for name in ("topo_order", "bfs_reachable")}
+    calls = {name: [] for name in ("topo_order", "infer_shapes", "bfs_reachable")}
 
     def counted(name, fn):
         return lambda *args, **kwargs: calls[name].append(args) or fn(*args, **kwargs)
@@ -197,4 +198,4 @@ def test_validate_sorts_topologically_once(monkeypatch):
             lst.clear()
         assert validate(block).violations == violations
         assert {name: len(lst) for name, lst in calls.items()} == {
-            "topo_order": 1, "bfs_reachable": 0}
+            "topo_order": 0, "infer_shapes": 0, "bfs_reachable": 0}

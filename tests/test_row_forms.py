@@ -2,11 +2,7 @@
 (``fd_gradients``): a row stays on its own sample down to the first
 BatchNorm and spans the batch from there.  The blocks are the scoring pool,
 the builder blocks in chunks of rows, and BatchNorm arrangements where rows
-of both forms meet at one node.
-
-The tests keep the names they had when a copy of this sweep, "the spread
-oracle", checked the sweep's other row forms; each now checks against
-finite differences."""
+of both forms meet at one node."""
 
 import numpy as np
 import pytest
@@ -27,7 +23,7 @@ from test_gradients import (
 from test_vkdnw_pins import pool_networks
 
 
-def test_every_pool_block_matches_the_spread_oracle():
+def test_every_pool_block_matches_finite_differences():
     blocks = [b for net in pool_networks() for b in net.blocks]
     assert len(blocks) == 12
     for block in blocks:
@@ -39,6 +35,8 @@ def test_every_pool_block_matches_the_spread_oracle():
 
 @pytest.mark.parametrize("variant,shape", BUILDER_BLOCKS, ids=lambda p: str(p))
 def test_builder_blocks_match_the_spread_oracle(monkeypatch, variant, shape):
+    # Checks against finite differences; the name is the one it had when a
+    # copy of this sweep, "the spread oracle", was the reference.
     # Sweeps of 3 rows: the chunks start at samples 0, 3, 6 and 9.
     monkeypatch.setattr(interpreter.Tape, "rows_per_sweep", lambda self, max_elements: 3)
     assert_builder_matches(variant, shape)
@@ -60,12 +58,12 @@ COPY_ADD = {"one_branch": ((0,), 4), "both_branches_kept": ((0, 1), 2),
 
 
 @pytest.mark.parametrize("case", list(COPY_ADD))
-def test_copy_add_with_batchnorms_matches_the_spread_oracle(case):
+def test_copy_add_with_batchnorms_matches_finite_differences(case):
     branches, c = COPY_ADD[case]
     assert_gradients_match(_copy_add(Shape(c, 4, 4), branches))
 
 
-def test_chunks_with_different_bases_match_the_spread_oracle():
+def test_chunks_of_both_row_forms_match_finite_differences():
     # A BatchNorm in one chunk of Chunk2 -> Concat2: the Chunk2 meets full
     # rows on one port and per-sample rows on the other.
     block = op_block("chunk2_concat2", Shape(4, 4, 4))
@@ -75,7 +73,7 @@ def test_chunks_with_different_bases_match_the_spread_oracle():
 
 
 @pytest.mark.parametrize("c", [2, 4, 6])
-def test_batchnorms_in_series_match_the_spread_oracle(c):
+def test_batchnorms_in_series_match_finite_differences(c):
     # The second BatchNorm takes full rows from the first.
     block = op_block("batchnorm", Shape(c, 4, 4))
     bn = next(v for v, op in block.ops.items() if op is OpKind.BATCH_NORM)
@@ -84,6 +82,6 @@ def test_batchnorms_in_series_match_the_spread_oracle(c):
 
 @pytest.mark.parametrize("variant,shape", [("resnet_basic", Shape(8, 2, 2)), ("mbconv4", Shape(4, 4, 4))],
                          ids=lambda p: str(p))
-def test_one_row_per_sweep_matches_the_spread_oracle(monkeypatch, variant, shape):
+def test_one_row_per_sweep_matches_finite_differences(monkeypatch, variant, shape):
     monkeypatch.setattr(proxy, "_SWEEP_ELEMENTS", 1)
     assert_builder_matches(variant, shape)

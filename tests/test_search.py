@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -127,6 +128,20 @@ def test_configs_refuse_out_of_range_step_and_scoring_fields_when_built(desk_bud
         with pytest.raises(ValueError, match=f"^{says}$"):
             make()
     EvoConfig(proxy_id=ProxyId.NEG_FLOPS, batch_size=9)  # only vkdnw draws a batch
+
+
+def test_configs_refuse_a_seed_out_of_range_when_built(desk_spec, desk_budget, monkeypatch):
+    """Rng's range and message, raised before any seed network is costed."""
+    costed = []
+    monkeypatch.setattr(search, "_seed_state", lambda *args: costed.append(args))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError) as rng_refusal:
+            a.Rng(seed)
+        for run in (lambda: random_walk(desk_spec, WalkConfig(steps=1, budget=desk_budget, seed=seed)),
+                    lambda: evolve(desk_spec, EvoConfig(total_steps=1, population_size=1, seed=seed))):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(rng_refusal.value))}$"):
+                run()
+    assert costed == []
 
 
 def test_evolve_single_slot_population(desk_spec, desk_budget):

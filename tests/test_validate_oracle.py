@@ -281,9 +281,38 @@ def change_input_shape(draw, block):
     return _with(block, input_shape=Shape(draw(st.integers(1, 2 * s.c)), s.h, s.w))
 
 
+def self_couple(draw, block):
+    """A node coupled to itself: no directed path joins a node to itself."""
+    if not block.ops:
+        return block
+    v = draw(st.sampled_from(sorted(block.ops)))
+    return _with(block, couples={**block.couples, v: (*block.couples.get(v, ()), v)})
+
+
+def uncouple_and_reshape(draw, block):
+    """A couple violation and a shape failure in one block."""
+    return change_input_shape(draw, uncouple(draw, block))
+
+
+def renumber(draw, block):
+    """An interior node takes a fresh id above every other, so a GlobalAvg
+    can outnumber the UpSample it still comes before in the order."""
+    if not block.ops:
+        return block
+    v, fresh = draw(st.sampled_from(sorted(block.ops))), block.next_id
+
+    def new(u):
+        return fresh if u == v else u
+
+    ops = {new(u): op for u, op in block.ops.items()}
+    edges = [Edge(new(e.src), e.src_port, new(e.dst), e.dst_port) for e in block.edges]
+    couples = {new(u): tuple(map(new, partners)) for u, partners in block.couples.items()}
+    return BlockGraph(block.input_shape, ops, tuple(edges), couples, fresh + 1)
+
+
 CORRUPTIONS = (drop_edge, duplicate_edge, port_out_of_range, unknown_node, reverse_edge,
                back_edge, swap_in_ports, one_sided_couple, couple_without_path, uncouple, widen_output,
-               swap_op, change_input_shape)
+               swap_op, change_input_shape, self_couple, uncouple_and_reshape, renumber)
 
 
 @st.composite
@@ -322,6 +351,9 @@ def test_each_corruption_kind_reaches_its_violation():
         widen_output: ([], "block output shape"),
         swap_op: ([softmax, OpKind.CONV_EXP4], "shape inference failed"),
         change_input_shape: ([5], "shape inference failed"),
+        self_couple: ([softmax], f"couple {softmax}<->{softmax}: no directed path between the pair"),
+        uncouple_and_reshape: ([coupled, 5], "shape inference failed"),
+        renumber: ([softmax], None),
     }
     assert set(pick) == set(CORRUPTIONS)
     for corrupt, (choices, expected) in pick.items():
@@ -329,7 +361,10 @@ def test_each_corruption_kind_reaches_its_violation():
         bad = corrupt(lambda _strategy: queue.pop(0), blk)
         assert not queue, corrupt.__name__
         report = validate(bad)
-        assert any(expected in v for v in report.violations), (corrupt.__name__, report.violations)
+        if expected is None:
+            assert report.ok, (corrupt.__name__, report.violations)
+        else:
+            assert any(expected in v for v in report.violations), (corrupt.__name__, report.violations)
         assert_matches_oracle(bad)
     # A negative port is out of range on either side of its edge.
     for src_side, kind in ((True, "output"), (False, "input")):
@@ -342,6 +377,19 @@ def test_each_corruption_kind_reaches_its_violation():
     swapped = swap_in_ports(lambda _strategy: queue.pop(0), blk)
     assert swapped.edges != blk.edges and validate(swapped).ok
     assert_matches_oracle(swapped)
+    # The couple words come before the shape failure.
+    queue = [coupled, 5]
+    words = validate(uncouple_and_reshape(lambda _strategy: queue.pop(0), blk)).violations
+    assert words[-1].startswith("shape inference failed") and any("has no couple" in w for w in words[:-1])
+    # A GlobalAvg renumbered above its UpSample still comes before it in the order.
+    se = a.build("squeeze_excite", Shape(8, 4, 4))
+    gavg, up = (next(v for v, op in se.ops.items() if op is kind) for kind in (OpKind.GLOBAL_AVG, OpKind.UP_SAMPLE))
+    queue = [gavg]
+    moved = renumber(lambda _strategy: queue.pop(0), se)
+    order = topo_order(moved)
+    assert se.next_id > up and order.index(se.next_id) < order.index(up)
+    assert validate(moved).ok
+    assert_matches_oracle(moved)
 
 
 def test_out_of_range_ports_are_worded_in_edge_order():

@@ -2,18 +2,16 @@
 scoring pool: the C=8 desk network and the networks that seed-7 walks of 20
 and 40 steps reach from it inside the 1.5k-2.8k params box.
 
-Unlike the four-sample block pins of test_conv_pins, these blocks sweep
-their rows in one sweep or, where a cotangent spanning the batch would
-outgrow the sweep bound, in several.  Where a BatchNorm's 2C directions
-stay below a sweep's rows (the C=8 resnet_basic block at 64 rows), rows
-upstream of it stay per-sample beside a factor over the batch; elsewhere
-they fold to whole rows over the batch.
+A block with more than 5·B parameters (P > 320 here) scores exactly 0
+without a sweep, so 9 of the 12 pool blocks are swept.  Unlike the
+four-sample block pins of test_conv_pins, those sweep their rows in one
+sweep or, where a cotangent spanning the batch would outgrow the sweep
+bound, in several: a row stays on its own sample down to the first
+BatchNorm and spans the batch from there.
 
 The pins were recorded when the spectrum moved from G's singular values to
 the eigenvalues of the smaller Gram matrix and BatchNorm's backward rule
-began to take per-sample rows itself; they held when BatchNorm's batch-wide
-term became a factor of 2C directions, since the one block it reaches
-scores exactly 0 (P = 1,200 > 10 B).  A deliberate change of these bytes
+began to take per-sample rows itself.  A deliberate change of these bytes
 updates them and is recorded in CHANGES.md.
 """
 
