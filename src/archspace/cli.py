@@ -183,7 +183,7 @@ def _cmd_dot(args) -> int:
 def _cmd_protocol(args) -> int:
     if args.task is None:
         raise FormatError(f"--task is required; choose from {TASKS}")
-    _emit_json(emit_protocol(args.task, args.gpus), args.out)
+    _emit_json(_refused_as_format(emit_protocol, args.task, args.gpus), args.out)
     return 0
 
 
@@ -333,7 +333,7 @@ def _parse(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
 # Lowest accepted value of the numeric flags that no config or scoring check
 # holds.  A comma-list flag is checked entry by entry; an omitted optional
 # flag (None) is not.
-_FLAG_MINIMUM = {"batch": 1, "gpus": 1, "stem": 1, "classes": 1, "in_channels": 1,
+_FLAG_MINIMUM = {"batch": 1, "stem": 1, "classes": 1, "in_channels": 1,
                  "stages": 1, "dims": 1, "resolution": 1}
 
 

@@ -286,53 +286,52 @@ class ValidationReport:
         return not self.violations
 
 
-def _expect(bad: list[str], v: int, ports: list[int], n_ports: int, kind: str) -> None:
-    """Word why ports 0..n_ports-1 of v on one side do not carry one edge each
-    and which lie outside; ports holds v's port of each edge there, in edge order."""
-    counts: dict[int, int] = {}
-    for p in ports:
-        counts[p] = counts.get(p, 0) + 1
-    for p in range(n_ports):
-        n = counts.get(p, 0)
+# op -> the ports its in edges and its out edges must carry, 0..n-1 on each side
+_WANT_PORTS = {op: ([*range(info.in_arity)], [*range(info.out_arity)]) for op, info in OP_INFO.items()}
+
+
+def _expect(bad: list[str], block: BlockGraph, v: int, edges: list[Edge], want: list[int], kind: str) -> None:
+    """Word how v's edges on one side, in port order (ties in edge order),
+    differ from one edge on each port of want: each such port not fed once,
+    then each port outside want in the order of its first edge."""
+    port = 3 if kind == "input" else 1
+    ports = [e[port] for e in edges]
+    for p in want:
+        n = ports.count(p)
         if n != 1:
             bad.append(f"node {v} {kind} port {p}: {n} edges (want 1)")
-    for p in counts:
-        if not 0 <= p < n_ports:
-            bad.append(f"node {v} {kind} port {p} out of range")
+    first: dict[int, Edge] = {}  # port outside want -> its first edge
+    for e in edges:
+        if not 0 <= e[port] < len(want):
+            first.setdefault(e[port], e)
+    for e in sorted(first.values(), key=block.edges.index):
+        bad.append(f"node {v} {kind} port {e[port]} out of range")
 
 
 def _port_violations(block: BlockGraph) -> list[str]:
-    """Every (node, port) the ops require is fed by exactly one edge on each
-    side, and no other is: checked as set equality first, and worded node by
-    node only when it fails."""
-    ops, edges = block.ops, block.edges
-    fed, feeding = {e[2:] for e in edges}, {e[:2] for e in edges}
-    if len(fed) == len(feeding) == len(edges):
-        infos = [(v, OP_INFO[op]) for v, op in ops.items()]
-        want_in = {(v, p) for v, info in infos for p in range(info.in_arity)}
-        want_out = {(v, p) for v, info in infos for p in range(info.out_arity)}
-        want_in.add((OUTPUT, 0))
-        want_out.add((INPUT, 0))
-        if fed == want_in and feeding == want_out:
-            return []
-    bad = [f"edge {tuple(e)} references unknown node {v}"
-           for e in edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
-    if bad:
-        return bad
-    in_ports, out_ports = {}, {}  # node -> its port of each edge on that side, in edge order
-    for e in edges:
-        out_ports.setdefault(e.src, []).append(e.src_port)
-        in_ports.setdefault(e.dst, []).append(e.dst_port)
-    _expect(bad, INPUT, out_ports.get(INPUT, []), 1, "output")
-    _expect(bad, OUTPUT, in_ports.get(OUTPUT, []), 1, "input")
-    if INPUT in in_ports:
+    """Every port the ops require is fed by exactly one edge on each side,
+    and no other is: one pass over the block's edge index, whose lists are
+    in port order, so a side is valid exactly when its ports are 0..n-1.
+    Only a side that differs is worded; edges to unknown nodes come alone."""
+    ops, (ins, outs) = block.ops, block.ports
+    if not (ins.keys() | outs.keys()) - ops.keys() <= {INPUT, OUTPUT}:
+        return [f"edge {tuple(e)} references unknown node {v}"
+                for e in block.edges for v in (e.src, e.dst) if v not in (INPUT, OUTPUT) and v not in ops]
+    bad = []
+    _expect(bad, block, INPUT, outs.get(INPUT, []), [0], "output")
+    _expect(bad, block, OUTPUT, ins.get(OUTPUT, []), [0], "input")
+    if INPUT in ins:
         bad.append("virtual input has incoming edges")
-    if OUTPUT in out_ports:
+    if OUTPUT in outs:
         bad.append("virtual output has outgoing edges")
-    for v, op in ops.items():
-        info = OP_INFO[op]
-        _expect(bad, v, in_ports.get(v, []), info.in_arity, "input")
-        _expect(bad, v, out_ports.get(v, []), info.out_arity, "output")
+    for v, op in ops.items():  # ports read as e[3] (dst_port) and e[1] (src_port): by name costs more
+        want_in, want_out = _WANT_PORTS[op]
+        edges = ins.get(v, [])
+        if [e[3] for e in edges] != want_in:
+            _expect(bad, block, v, edges, want_in, "input")
+        edges = outs.get(v, [])
+        if [e[1] for e in edges] != want_out:
+            _expect(bad, block, v, edges, want_out, "output")
     return bad
 
 

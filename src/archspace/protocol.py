@@ -10,7 +10,7 @@ never interpreted.  No training happens here.
 
 from __future__ import annotations
 
-from .errors import FormatError
+from .errors import FormatError, check_at_least
 
 TASKS = ("classification", "detection", "segmentation")
 
@@ -71,9 +71,11 @@ _PROTOCOLS = {
 
 
 def emit_protocol(task: str, gpu_count: int | None = None) -> dict:
-    """Protocol config for one task; LRs scale by N when gpu_count is given."""
+    """Protocol config for one task; LRs scale by N when gpu_count (>= 1) is given."""
     if task not in _PROTOCOLS:
         raise FormatError(f"unknown task {task!r}; choose from {TASKS}")
+    if gpu_count is not None:
+        check_at_least("gpu_count", gpu_count, 1)
     out: dict = {"task": task, "gpu_count": gpu_count}
     for key, value in _PROTOCOLS[task].items():
         if isinstance(value, tuple):

@@ -174,6 +174,8 @@ def size_orthogonality_report(
     """
     import numpy as np
 
+    check_at_least("sample_every", sample_every, 1)
+    check_scoring_args(ProxyId.VKDNW, batch_size, 1)
     root = Rng(seed)
     streams = (root.child(1, step) for step in range(1, steps + 1))
     walk = _steps(_seed_state(seed_net, budget), WalkConfig(steps, budget, seed), streams)

@@ -256,8 +256,8 @@ def test_exit_codes(tmp_path, capsys):
         (("walk", str(net), "--steps", "abc"), "--steps"),
         (("protocol", "--task", "bogus"), "--task"),
         ((), "command"),
-        (("protocol", "--task", "classification", "--gpus", "0"), "--gpus"),
-        (("protocol", "--task", "classification", "--gpus", "-2"), "--gpus"),
+        (("protocol", "--task", "classification", "--gpus", "0"), "gpu_count must be >= 1, got 0"),
+        (("protocol", "--task", "classification", "--gpus", "-2"), "gpu_count must be >= 1, got -2"),
         (("score", str(net), "--threads", "0"), "threads must be >= 1, got 0"),
         (("score", str(net), "--threads", "-2"), "threads must be >= 1, got -2"),
         (("score", str(net), "--config", str(small_batch_size)), "batch_size must be >= 10 for vkdnw, got 5"),

@@ -179,23 +179,32 @@ def test_assembly_error_names_the_block_once():
 def test_validate_sorts_topologically_once(monkeypatch):
     """validate orders the block inside its own sweep: it calls neither
     topo_order nor infer_shapes and runs no search per couple pair, on a
-    valid block and on one with a couple that no path joins."""
+    valid block and on one with a couple that no path joins; and once a
+    valid block's edge index is built, it never iterates the block's edges."""
     blk = a.build("attention2h", Shape(8, 4, 4))
     heads = [v for v in topo_order(blk) if blk.ops[v] is OpKind.MATMUL1]  # on parallel heads
     couples = {**blk.couples, heads[0]: (*blk.couples[heads[0]], heads[1]),
                heads[1]: (*blk.couples[heads[1]], heads[0])}
     unjoined = BlockGraph(blk.input_shape, dict(blk.ops), blk.edges, couples, blk.next_id)
-    calls = {name: [] for name in ("topo_order", "infer_shapes", "bfs_reachable")}
+    calls = {name: [] for name in ("topo_order", "infer_shapes", "bfs_reachable", "iter(edges)")}
+
+    class CountedEdges(tuple):
+        def __iter__(self):
+            calls["iter(edges)"].append(())
+            return super().__iter__()
+
+    indexed = BlockGraph(blk.input_shape, dict(blk.ops), CountedEdges(blk.edges), dict(blk.couples), blk.next_id)
+    assert indexed.ports == blk.ports
 
     def counted(name, fn):
         return lambda *args, **kwargs: calls[name].append(args) or fn(*args, **kwargs)
 
-    for name in calls:
+    for name in ("topo_order", "infer_shapes", "bfs_reachable"):
         monkeypatch.setattr(graph, name, counted(name, getattr(graph, name)))
     no_path = tuple(f"couple {v}<->{p}: no directed path between the pair" for v, p in (heads, heads[::-1]))
-    for block, violations in ((blk, ()), (unjoined, no_path)):
+    for block, violations in ((blk, ()), (unjoined, no_path), (indexed, ())):
         for lst in calls.values():
             lst.clear()
         assert validate(block).violations == violations
         assert {name: len(lst) for name, lst in calls.items()} == {
-            "topo_order": 0, "infer_shapes": 0, "bfs_reachable": 0}
+            "topo_order": 0, "infer_shapes": 0, "bfs_reachable": 0, "iter(edges)": 0}

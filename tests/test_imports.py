@@ -125,7 +125,7 @@ def test_the_cli_restates_no_bound_a_library_object_checks():
     the value; the CLI keeps minimums only for flags no library object checks."""
     from archspace import cli
 
-    assert set(cli._FLAG_MINIMUM) == {"batch", "gpus", "stem", "classes", "in_channels",
+    assert set(cli._FLAG_MINIMUM) == {"batch", "stem", "classes", "in_channels",
                                       "stages", "dims", "resolution"}
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)

@@ -51,6 +51,13 @@ def test_segmentation_with_four_gpus():
     assert cfg["input_resolution"] == [512, 512]
 
 
+@pytest.mark.parametrize("gpu_count", [0, -2])
+def test_gpu_count_below_one_is_refused(gpu_count):
+    # at -2 the classification base_lr would read -0.0002, at 0 it would read 0.0
+    with pytest.raises(ValueError, match=f"^gpu_count must be >= 1, got {gpu_count}$"):
+        emit_protocol("classification", gpu_count=gpu_count)
+
+
 def test_shared_optimizer_settings():
     for task in ("classification", "detection", "segmentation"):
         cfg = emit_protocol(task)

@@ -34,9 +34,7 @@ def test_every_pool_block_matches_finite_differences():
 
 
 @pytest.mark.parametrize("variant,shape", BUILDER_BLOCKS, ids=lambda p: str(p))
-def test_builder_blocks_match_the_spread_oracle(monkeypatch, variant, shape):
-    # Checks against finite differences; the name is the one it had when a
-    # copy of this sweep, "the spread oracle", was the reference.
+def test_builder_blocks_match_finite_differences(monkeypatch, variant, shape):
     # Sweeps of 3 rows: the chunks start at samples 0, 3, 6 and 9.
     monkeypatch.setattr(interpreter.Tape, "rows_per_sweep", lambda self, max_elements: 3)
     assert_builder_matches(variant, shape)

@@ -254,6 +254,21 @@ def test_size_orthogonality_report_is_descriptive():
     assert "no threshold" in report["note"]
 
 
+@pytest.mark.parametrize("args, message", [
+    ({"sample_every": 0}, "sample_every must be >= 1, got 0"),
+    ({"sample_every": -1}, "sample_every must be >= 1, got -1"),
+    ({"batch_size": 9}, "batch_size must be >= 10 for vkdnw, got 9"),
+])
+def test_size_orthogonality_report_refuses_bad_args_before_any_step(desk_spec, monkeypatch, args, message):
+    def no_walk(*_):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(search, "_seed_state", no_walk)
+    with pytest.raises(ValueError) as exc:
+        size_orthogonality_report(desk_spec, a.Budget(0, 10**9, 0, 10**12), steps=20, **args)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("driver", [
     lambda net, budget: random_walk(net, WalkConfig(steps=1, budget=budget, seed=0)),
     lambda net, budget: evolve(net, EvoConfig(total_steps=2, population_size=1, budget=budget,
