@@ -178,7 +178,8 @@ def size_orthogonality_report(
     check_scoring_args(ProxyId.VKDNW, batch_size, 1)
     root = Rng(seed)
     streams = (root.child(1, step) for step in range(1, steps + 1))
-    walk = _steps(_seed_state(seed_net, budget), WalkConfig(steps, budget, seed), streams)
+    cfg = WalkConfig(steps, budget, seed)  # refuses its bounds before the seed is costed
+    walk = _steps(_seed_state(seed_net, budget), cfg, streams)
     params_list, scores = [], []
     for step, (state, _) in enumerate(walk, 1):
         if step % sample_every == 0:

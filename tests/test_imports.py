@@ -135,3 +135,34 @@ def test_the_cli_restates_no_bound_a_library_object_checks():
     compared = {getattr(x, "attr", None) or getattr(x, "value", None)
                 for c in ast.walk(tree) if isinstance(c, ast.Compare) for x in ast.walk(c)}
     assert "p_eliminate" not in compared
+
+
+def _names_numpy_random(tree: ast.Module) -> bool:
+    """Whether a module imports numpy.random, or something from it, or reads
+    `random` off a name bound to numpy."""
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in numpy_names:
+            dotted = [f"numpy.{node.attr}"]
+        else:
+            continue
+        if any(f"{d}.".startswith("numpy.random.") for d in dotted):
+            return True
+    return False
+
+
+def test_only_rng_names_numpy_random():
+    """All randomness flows through `Rng`: no other module of the package
+    names `np.random` or `numpy.random`."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert _names_numpy_random(trees["rng.py"])
+    assert [name for name, tree in trees.items() if _names_numpy_random(tree)] == ["rng.py"]
+    for text in ("import numpy.random", "from numpy.random import Philox", "from numpy import random",
+                 "import numpy\nnumpy.random.Philox()", "import numpy as xp\nxp.random.rand()"):
+        assert _names_numpy_random(ast.parse(text)), text
+    assert not _names_numpy_random(ast.parse("import random\nimport numpy as np\nrandom.random()"))

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -110,7 +114,8 @@ def test_draws_read_the_bare_philox_stream():
     sizes = (1, 63, 64, 65, 4097)
     # 2**63 + 1 rejects almost half its words, so the rejection loop runs
     bounds = (1, 7, 2 ** 32, 2 ** 63 + 1)
-    for rng in (Rng(0), Rng(2**64 - 1).child(3), Rng(0xC4).child(1, 17), Rng(5).child(0, 2**70)):
+    for rng in (Rng(0), Rng(2**64 - 1, 2**64 - 1), Rng(2**64 - 1).child(3), Rng(0xC4).child(1, 17),
+                Rng(5).child(0, 2**70)):
         ref = _BarePhilox(rng, 40_000)
         for i, size in enumerate(sizes):
             kinds = ("next_u64", "uniform", "randbelow", "normal")
@@ -148,6 +153,34 @@ def test_normal_after_word_draws_reads_the_bare_philox_stream():
             assert rng.normal(size).tobytes() == ref.normal(size).tobytes(), (k, size)
             assert [rng.next_u64() for _ in range(7)] == [ref.next_u64() for _ in range(7)], (k, size)
             assert rng.normal(3).tobytes() == ref.normal(3).tobytes(), (k, size)
+
+
+def _mixed_draws(rng, barrier=None):
+    """3,000 words with a normal(9) after every 50th; waits at `barrier` first."""
+    if barrier is not None:
+        barrier.wait()
+    out = []
+    for i in range(1, 3001):
+        out.append(rng.next_u64())
+        if i % 50 == 0:
+            out.append(rng.normal(9).tobytes())
+    return out
+
+
+def test_threads_drawing_at_once_read_their_serial_streams():
+    """Streams drawn from worker threads at once, words and arrays mixed,
+    read the same words as the same draws made serially."""
+    root = Rng(0x7EAD)
+    want = [_mixed_draws(root.child(t)) for t in range(4)]
+    barrier = threading.Barrier(4, timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda t: _mixed_draws(root.child(t), barrier), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_search_steps_build_no_numpy_philox(desk_spec, monkeypatch):

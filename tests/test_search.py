@@ -258,6 +258,7 @@ def test_size_orthogonality_report_is_descriptive():
     ({"sample_every": 0}, "sample_every must be >= 1, got 0"),
     ({"sample_every": -1}, "sample_every must be >= 1, got -1"),
     ({"batch_size": 9}, "batch_size must be >= 10 for vkdnw, got 9"),
+    ({"steps": -1}, "steps must be >= 0, got -1"),
 ])
 def test_size_orthogonality_report_refuses_bad_args_before_any_step(desk_spec, monkeypatch, args, message):
     def no_walk(*_):
@@ -265,7 +266,7 @@ def test_size_orthogonality_report_refuses_bad_args_before_any_step(desk_spec, m
 
     monkeypatch.setattr(search, "_seed_state", no_walk)
     with pytest.raises(ValueError) as exc:
-        size_orthogonality_report(desk_spec, a.Budget(0, 10**9, 0, 10**12), steps=20, **args)
+        size_orthogonality_report(desk_spec, a.Budget(0, 10**9, 0, 10**12), **{"steps": 20, **args})
     assert str(exc.value) == message
 
 
