@@ -80,12 +80,8 @@ def _cmd_build(args) -> int:
         raise FormatError("need one variant, or one per stage")
     spec = make_network(args.stem, args.resolution, args.stages, args.dims,
                         args.classes, in_channels=args.in_channels)
-    blocks = []
-    for si, st in enumerate(spec.stages):
-        for _ in range(st.n_blocks):
-            blocks.append(builders.build(variants[si], st.shape))
-    spec = make_network(args.stem, args.resolution, args.stages, args.dims,
-                        args.classes, blocks=blocks, in_channels=args.in_channels)
+    for bi, block in enumerate(spec.blocks):
+        spec = spec.with_block(bi, builders.build(variants[spec.block_stage(bi)], block.input_shape))
     _write_out(serialize(spec), args.out)
     return 0
 

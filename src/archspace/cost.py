@@ -15,7 +15,7 @@ stage's channel count) keeps the fused convolution costed exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import BlockGraph, NodeShapes, infer_shapes, topo_order
 from .network import FUSABLE_OPS, NetworkSpec, assemble_network, stem_spatial
@@ -124,15 +124,6 @@ def transition_cost(spec: NetworkSpec, si: int, first_op: Optional[OpKind]) -> T
     return TransitionCost(pool, conv2d_cost(c_in, st.channels, 1, *st.spatial), ZERO_COST)
 
 
-def skeleton_cost(spec: NetworkSpec):
-    """Stem terms, per-stage transitions and head terms: all but the blocks."""
-    transitions = tuple(transition_cost(spec, si, spec.stage_entry(si)[1])
-                        for si in range(len(spec.stages)))
-    last = spec.stages[-1]
-    return (stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution),
-            transitions, head_cost(last.channels, spec.num_classes, last.spatial))
-
-
 @dataclass(frozen=True)
 class NetworkCostReport:
     stem: tuple[tuple[str, Cost], ...]
@@ -174,13 +165,20 @@ class NetworkCostReport:
         }
 
 
-def network_cost(spec: NetworkSpec) -> NetworkCostReport:
-    """Totals for stem + transitions + blocks + head, fusion costed once.
-
-    Recomputed from scratch, so it is the oracle for the search ledger.
-    """
-    assemble_network(spec)  # raises AssemblyError on an invalid network
-    stem, transitions, head = skeleton_cost(spec)
-    blocks = tuple(block_cost(b) for b in spec.blocks)
+def network_cost_of(spec: NetworkSpec, blocks: Iterable[BlockCostReport]) -> NetworkCostReport:
+    """Stem + transitions + blocks + head, fusion costed once, for the given
+    reports of the network's blocks in order."""
+    transitions = tuple(transition_cost(spec, si, spec.stage_entry(si)[1]) for si in range(len(spec.stages)))
+    last = spec.stages[-1]
+    stem = stem_cost(spec.in_channels, spec.stem_out_channels, spec.input_resolution)
+    head = head_cost(last.channels, spec.num_classes, last.spatial)
+    blocks = tuple(blocks)
     terms = [c for _, c in stem + head] + [t.total for t in transitions] + [b.total for b in blocks]
     return NetworkCostReport(stem, transitions, blocks, head, sum(terms, ZERO_COST))
+
+
+def network_cost(spec: NetworkSpec) -> NetworkCostReport:
+    """The network's report with every block costed by `block_cost`: from
+    scratch, so it is the oracle for the search ledger."""
+    assemble_network(spec)  # raises AssemblyError on an invalid network
+    return network_cost_of(spec, map(block_cost, spec.blocks))

@@ -203,27 +203,34 @@ def bfs_reachable(step: Callable[[int], Iterable[int]], starts: Iterable[int]) -
     return seen
 
 
-def topo_order(block: BlockGraph) -> list[int]:
-    """Interior node ids in deterministic topological order (ties by id):
-    in-degrees counted in one pass over the edges, then one id-keyed heap
-    run over the edge index's out lists."""
-    ops, outs = block.ops, block.ports.outs
-    indeg = dict.fromkeys(ops, 0)
-    for e in block.edges:
-        if e.src in ops and e.dst in ops:
-            indeg[e.dst] += 1
-    ready = [v for v, d in indeg.items() if d == 0]
+def _kahn(indeg: dict[int, int], outs: dict[int, list[Edge]]):
+    """Kahn's sweep from an id-keyed heap: the nodes keyed in indeg (node ->
+    its in-degree from keyed nodes, counted down in place) in topological
+    order, ties by id.  A node's successors in the edge index's out lists
+    are released once the caller resumes; no node on or behind a cycle is
+    yielded."""
+    ready = [v for v, d in indeg.items() if not d]
     heapq.heapify(ready)
-    order = []
     while ready:
         v = heapq.heappop(ready)
-        order.append(v)
+        yield v
         for e in outs.get(v, ()):
             s = e.dst
             if s in indeg:
                 indeg[s] -= 1
-                if indeg[s] == 0:
+                if not indeg[s]:
                     heapq.heappush(ready, s)
+
+
+def topo_order(block: BlockGraph) -> list[int]:
+    """Interior node ids in deterministic topological order (ties by id):
+    in-degrees counted in one pass over the edges, then one `_kahn` sweep."""
+    ops = block.ops
+    indeg = dict.fromkeys(ops, 0)
+    for e in block.edges:
+        if e.src in ops and e.dst in ops:
+            indeg[e.dst] += 1
+    order = list(_kahn(indeg, block.ports.outs))
     if len(order) != len(ops):
         raise _cycle(len(ops) - len(order))
     return order
@@ -338,11 +345,12 @@ def _port_violations(block: BlockGraph) -> list[str]:
 def validate(block: BlockGraph) -> ValidationReport:
     """All invariant violations as data; empty report iff the block is feasible.
 
-    The port check comes first; once it passes, one id-keyed Kahn sweep
-    over the block's edge index (`BlockGraph.ports`) gives the topological
-    order, each node's ancestors and the node shapes together, so the
-    order is computed once and no adjacency map is built.  The whole block
-    is checked on every call, and shapes are inferred from the block itself.
+    The port check comes first; once it passes, the id-keyed `_kahn` sweep
+    that `topo_order` runs over the block's edge index (`BlockGraph.ports`)
+    gives the topological order, each node's ancestors and the node shapes
+    together, so the order is computed once and no adjacency map is built.
+    The whole block is checked on every call, and shapes are inferred from
+    the block itself.
     """
     bad = _port_violations(block)
     if bad:
@@ -355,14 +363,11 @@ def validate(block: BlockGraph) -> ValidationReport:
     first = outs[INPUT][0].dst
     if first != OUTPUT:
         indeg[first] -= 1
-    ready = [v for v, d in indeg.items() if not d]
-    heapq.heapify(ready)
     # anc: node -> a bitset of itself (bit 1 << its place in the order) and
     # its ancestors; made: node -> its out shapes, until a shape rule fails.
     anc, made, failed = {INPUT: 0}, {INPUT: (block.input_shape,)}, None
     up_sample = OpKind.UP_SAMPLE  # read once: an enum member lookup costs more than the test
-    while ready:
-        v = heapq.heappop(ready)
+    for v in _kahn(indeg, outs):
         edges, a = ins[v], 1 << len(anc)
         if failed is None:
             args = []
@@ -379,12 +384,6 @@ def validate(block: BlockGraph) -> ValidationReport:
             for e in edges:
                 a |= anc[e.src]
         anc[v] = a
-        for e in outs.get(v, ()):
-            s = e.dst
-            if s != OUTPUT:
-                indeg[s] -= 1
-                if not indeg[s]:
-                    heapq.heappush(ready, s)
     if len(anc) <= len(ops):
         return ValidationReport((f"cycle: {_cycle(len(ops) + 1 - len(anc))}",))
     # A directed path joins v and p != v iff one's ancestors hold the other's

@@ -26,7 +26,8 @@ Reverse mode: ``forward_tape`` records every value of a forward, and
 ``vjp_rows`` runs one backward sweep over it with a backward rule per op,
 for many output cotangents ("rows") at once: each row lives on one sample
 down to the first BatchNorm and spans the batch from there; see the notes
-above ``Tape``.
+above ``Tape``.  ``block_gradients`` chunks a batch's rows into sweeps and
+lays the gradients out in the parameter store's order.
 
 Parameter initialization allocates each op's ``OP_INFO`` tensors: a weight
 ~ N(0, 2/fan_in) over its dims after the first, a scale ones, the rest zeros.
@@ -309,6 +310,8 @@ def forward(
 # Parameter gradients come out per row, (R, *param.shape).
 
 _MIXES_SAMPLES = frozenset({OpKind.BATCH_NORM})
+# Cotangent elements per reverse sweep once rows span the whole batch.
+_SWEEP_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -321,15 +324,15 @@ class Tape:
     values: dict[tuple[int, int], np.ndarray]
     cache: dict[int, object] = field(default_factory=dict)
 
-    def rows_per_sweep(self, max_elements: int) -> int:
+    def rows_per_sweep(self) -> int:
         """How many of the batch's rows one sweep may carry: all of them when
         no op mixes samples, else as many as keep a cotangent that spans the
-        batch within max_elements."""
+        batch within _SWEEP_ELEMENTS values."""
         n = self.values[(INPUT, 0)].shape[0]
         if not _MIXES_SAMPLES.intersection(self.block.ops.values()):
             return n
         widest = max(a[0].size for a in self.values.values())
-        return max(1, min(n, max_elements // (n * widest)))
+        return max(1, min(n, _SWEEP_ELEMENTS // (n * widest)))
 
 
 def forward_tape(block: BlockGraph, params: ParamStore, x: np.ndarray) -> Tape:
@@ -509,7 +512,7 @@ def _vjp_node(tape, v, op, gs, ins, outs, params, align, want):
     raise AssertionError(op)
 
 
-def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, np.ndarray]]:
+def vjp_rows(tape: Tape, ct: np.ndarray, start: int) -> dict[int, dict[str, np.ndarray]]:
     """Per-row parameter gradients of a block from one reverse sweep.
 
     ``ct`` is the cotangent of the block output with a leading row axis,
@@ -552,6 +555,30 @@ def vjp_rows(tape: Tape, ct: np.ndarray, start: int = 0) -> dict[int, dict[str, 
         for e, w, gi in zip(edges, want, gins):
             if w:
                 pending[(e.src, e.src_port)] = gi
+    return grads
+
+
+def block_gradients(block: BlockGraph, store: ParamStore, batch: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(B, P) gradients of s_i = <u, flatten(y_i)>, one column per parameter
+    scalar in the store's order (nodes as `init_params` fills them, in
+    topological order, then tensor names).
+
+    Rows are swept in chunks that keep each cotangent within _SWEEP_ELEMENTS
+    values once BatchNorm has spread the rows over the batch.
+    """
+    tape = forward_tape(block, store, batch)
+    b = batch.shape[0]
+    ct = u.reshape(1, 1, *tape.values[(OUTPUT, 0)].shape[1:])
+    rows = tape.rows_per_sweep()
+    grads = np.empty((b, store.scalar_count()))
+    for start in range(0, b, rows):
+        r = min(rows, b - start)
+        per_node = vjp_rows(tape, np.broadcast_to(ct, (r, *ct.shape[1:])), start)
+        col = 0
+        for v, tensors in store.tensors.items():
+            for name, arr in tensors.items():
+                grads[start:start + r, col:col + arr.size] = per_node[v][name].reshape(r, -1)
+                col += arr.size
     return grads
 
 

@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .cost import Budget, block_cost_at, skeleton_cost, transition_cost
+from .cost import Budget, block_cost_at, network_cost_of, transition_cost
 from .errors import FormatError, GraphError, InfeasibleEdit, StaleEdit, check_at_least
 from .graph import (
     BlockGraph,
@@ -291,15 +291,12 @@ class CostState:
 
     @staticmethod
     def from_spec(spec: NetworkSpec) -> "CostState":
-        stem, transitions, head = skeleton_cost(spec)
-        total = sum([c for _, c in stem + head] + [t.total for t in transitions], ZERO_COST)
+        report = network_cost_of(spec, (block_cost_at(b, b.shapes) for b in spec.blocks))
         op_flops = {}
-        for b in spec.blocks:
-            rep = block_cost_at(b, b.shapes)
-            total = total + rep.total
+        for rep in report.blocks:
             for _, op, cost in rep.nodes:
                 op_flops[op] = op_flops.get(op, 0) + cost.flops
-        return CostState(spec, total, op_flops)
+        return CostState(spec, report.total, op_flops)
 
     @property
     def shapes(self) -> list[dict[int, NodeShapes]]:

@@ -30,15 +30,14 @@ passes its ledger total) and a seeded random draw.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
 from .cost import network_cost
 from .errors import check_at_least
-from .graph import OUTPUT, BlockGraph, topo_order
-from .interpreter import ParamStore, forward, forward_tape, init_params, vjp_rows
+from .graph import BlockGraph
+from .interpreter import ParamStore, block_gradients, forward, init_params
 from .network import NetworkSpec
 from .ops import Cost
 from .rng import Rng
@@ -46,8 +45,6 @@ from .rng import Rng
 DEFAULT_BATCH = 64
 MIN_BATCH = 10
 DEFAULT_FD_STEP = 1e-4
-# Cotangent elements per reverse sweep once rows span the whole batch.
-_SWEEP_ELEMENTS = 1 << 18
 
 
 class ProxyId(Enum):
@@ -81,35 +78,6 @@ class ProxyScore:
         return out
 
 
-def _param_entries(block: BlockGraph, store: ParamStore) -> list[tuple[int, str, np.ndarray]]:
-    """Flat parameter layout: topo node order, insertion-ordered names."""
-    return [(v, name, arr) for v in topo_order(block)
-            for name, arr in store.tensors.get(v, {}).items()]
-
-
-def block_gradients(block: BlockGraph, store: ParamStore, batch: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(B, P) gradients of s_i = <u, flatten(y_i)> by reverse mode, with the
-    columns of ``fd_gradients``.
-
-    Rows are swept in chunks that keep each cotangent within _SWEEP_ELEMENTS
-    values once BatchNorm has spread the rows over the batch.
-    """
-    tape = forward_tape(block, store, batch)
-    b = batch.shape[0]
-    ct = u.reshape(1, 1, *tape.values[(OUTPUT, 0)].shape[1:])
-    rows = tape.rows_per_sweep(_SWEEP_ELEMENTS)
-    entries = _param_entries(block, store)
-    grads = np.empty((b, sum(arr.size for _, _, arr in entries)))
-    for start in range(0, b, rows):
-        r = min(rows, b - start)
-        per_node = vjp_rows(tape, np.broadcast_to(ct, (r, *ct.shape[1:])), start)
-        col = 0
-        for v, name, arr in entries:
-            grads[start:start + r, col:col + arr.size] = per_node[v][name].reshape(r, -1)
-            col += arr.size
-    return grads
-
-
 def fd_gradients(
     block: BlockGraph,
     store: ParamStore,
@@ -123,7 +91,7 @@ def fd_gradients(
     whole batch is forwarded jointly so BatchNorm statistics stay
     consistent between the +h and -h evaluations.
     """
-    arrays = [arr for _, _, arr in _param_entries(block, store)]
+    arrays = [arr for tensors in store.tensors.values() for arr in tensors.values()]
     total = sum(a.size for a in arrays)
     b = batch.shape[0]
 
@@ -227,6 +195,7 @@ def score_network(
 
     indices = range(len(spec.blocks))
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, not at the top: it loads logging and queue
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_block = tuple(pool.map(one, indices))
     else:

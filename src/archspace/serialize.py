@@ -53,6 +53,8 @@ def block_from_json(d: dict) -> BlockGraph:
             if name not in OP_BY_NAME:
                 raise FormatError(f"unknown op {name!r}")
             v = json_int(n["id"], "node id")
+            if v <= OUTPUT:
+                raise FormatError(f"node id {v} is not an interior id: 0 and 1 are the virtual input and output")
             if v in ops:
                 raise FormatError(f"node id {v} is listed twice")
             ops[v] = OP_BY_NAME[name]

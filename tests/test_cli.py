@@ -6,6 +6,8 @@ from archspace.cli import _parse_budget, build_parser, main
 from archspace.search import EvoConfig, WalkConfig
 from archspace.serialize import parse_document, serialize
 
+from test_serialize import gelu_block_doc
+
 
 def run(*argv):
     return main(list(argv))
@@ -333,6 +335,15 @@ def test_walk_refuses_a_next_id_in_use_before_any_step(tmp_path, capsys):
         assert run("walk", str(bad), "--steps", "50", "--out", str(log)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 2 and err.count("next_id") == 2 and not log.exists(), err
+
+
+def test_a_node_at_a_virtual_id_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(gelu_block_doc(0)))
+    for cmd in ("validate", "dot", "cost"):
+        capsys.readouterr()
+        assert run(cmd, str(bad)) == 2, cmd
+        assert "node id 0 is not an interior id" in capsys.readouterr().err, cmd
 
 
 def test_step_flag_defaults_are_the_config_defaults():

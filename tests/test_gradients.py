@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import archspace as a
-from archspace import proxy
+from archspace import interpreter, proxy
 from archspace.graph import INPUT, OUTPUT, BlockGraph, Edge
 from archspace.interpreter import Tape, _vjp_node, init_params
 from archspace.mutation import TEMPLATE_NAMES, TEMPLATES, Edit, _template_parts, apply_block_edit
@@ -163,7 +163,7 @@ def test_row_chunks_do_not_change_gradients(monkeypatch):
     block = a.build("mbconv4", Shape(4, 4, 4))
     store, batch, u = problem(block)
     whole = block_gradients(block, store, batch, u)
-    monkeypatch.setattr(proxy, "_SWEEP_ELEMENTS", 1)  # one row per sweep
+    monkeypatch.setattr(interpreter, "_SWEEP_ELEMENTS", 1)  # one row per sweep
     np.testing.assert_allclose(block_gradients(block, store, batch, u), whole,
                                rtol=1e-12, atol=1e-12 * np.abs(whole).max())
 

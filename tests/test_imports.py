@@ -120,6 +120,15 @@ def test_only_the_shape_store_and_the_oracles_infer_shapes():
     assert users == {"graph.py: BlockGraph.shapes", "cost.py: block_cost", "mutation.py: _template_shapes"}
 
 
+def test_one_kahn_sweep_orders_every_block():
+    """The id-keyed topological order has one sweep, `graph._kahn`: it is the
+    only scope of the package that names `heapq`, so `topo_order` and
+    `validate` cannot grow a second copy of the heap loop."""
+    users = {f"{p.name}: {scope}" for p in sorted(PACKAGE.glob("*.py"))
+             for scope in _scopes_naming(ast.parse(p.read_text(), filename=str(p)), "heapq")}
+    assert users == {"graph.py: _kahn"}
+
+
 def test_the_cli_restates_no_bound_a_library_object_checks():
     """Run bounds are checked once, by the config or scoring check that holds
     the value; the CLI keeps minimums only for flags no library object checks."""

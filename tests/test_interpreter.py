@@ -319,3 +319,12 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures pulls in logging, queue and traceback; only threaded scoring needs it
+    src = Path(a.__file__).resolve().parent.parent
+    code = "import archspace, archspace.cli, sys; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

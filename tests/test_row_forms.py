@@ -7,7 +7,7 @@ of both forms meet at one node."""
 import numpy as np
 import pytest
 
-from archspace import interpreter, proxy
+from archspace import interpreter
 from archspace.graph import OUTPUT, Edge
 from archspace.ops import OpKind, Shape
 from archspace.proxy import block_gradients, fd_gradients
@@ -36,7 +36,7 @@ def test_every_pool_block_matches_finite_differences():
 @pytest.mark.parametrize("variant,shape", BUILDER_BLOCKS, ids=lambda p: str(p))
 def test_builder_blocks_match_finite_differences(monkeypatch, variant, shape):
     # Sweeps of 3 rows: the chunks start at samples 0, 3, 6 and 9.
-    monkeypatch.setattr(interpreter.Tape, "rows_per_sweep", lambda self, max_elements: 3)
+    monkeypatch.setattr(interpreter.Tape, "rows_per_sweep", lambda self: 3)
     assert_builder_matches(variant, shape)
 
 
@@ -81,5 +81,5 @@ def test_batchnorms_in_series_match_finite_differences(c):
 @pytest.mark.parametrize("variant,shape", [("resnet_basic", Shape(8, 2, 2)), ("mbconv4", Shape(4, 4, 4))],
                          ids=lambda p: str(p))
 def test_one_row_per_sweep_matches_finite_differences(monkeypatch, variant, shape):
-    monkeypatch.setattr(proxy, "_SWEEP_ELEMENTS", 1)
+    monkeypatch.setattr(interpreter, "_SWEEP_ELEMENTS", 1)
     assert_builder_matches(variant, shape)

@@ -68,6 +68,26 @@ def test_parse_rejects_a_repeated_node_id():
         parse_document(json.dumps(doc))
 
 
+def gelu_block_doc(node_id: int) -> dict:
+    """A one-GELU block's network document with the GELU at node_id."""
+    g = GraphAssembler(Shape(8, 4, 4))
+    g.wire(g.chain((INPUT, 0), OpKind.GELU), 0, OUTPUT, 0)
+    doc = to_document(a.make_network(4, (32, 32), (1,), (8,), 10, blocks=[g.finish()]))
+    block = doc["blocks"][0]
+    block["nodes"][0]["id"] = node_id
+    block["edges"] = [[node_id if v == 2 else v for v in e] for e in block["edges"]]
+    return doc
+
+
+@pytest.mark.parametrize("node_id", [0, 1, -3])
+def test_parse_rejects_a_node_id_that_is_not_interior(node_id):
+    parse_document(json.dumps(gelu_block_doc(2)))
+    # id 0 or 1 used to validate as doubled ports; -3 used to validate, cost and walk
+    with pytest.raises(FormatError, match=f"node id {node_id} is not an interior id: "
+                                          "0 and 1 are the virtual input and output"):
+        parse_document(json.dumps(gelu_block_doc(node_id)))
+
+
 @pytest.mark.parametrize("keys", [("010",), ("+10",), ("1_0",), (" 10",), ("10", "010")])
 def test_parse_rejects_a_non_canonical_couple_key(desk_spec, keys):
     doc = to_document(desk_spec)

@@ -68,5 +68,5 @@ def test_pool_reaches_full_rows_in_one_sweep_and_in_several():
                 continue
             store = interpreter.init_params(block, Rng(0))
             tape = interpreter.forward_tape(block, store, Rng(1).normal((BATCH, *block.input_shape)))
-            sweeps.add(tape.rows_per_sweep(proxy._SWEEP_ELEMENTS) < BATCH)
+            sweeps.add(tape.rows_per_sweep() < BATCH)
     assert sweeps == {False, True}
